@@ -16,6 +16,7 @@ import (
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/harness"
 	"iosnap/internal/iosnap"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
 	"iosnap/internal/sim"
@@ -348,7 +349,7 @@ func BenchmarkMergeRange(b *testing.B) {
 // fully-invalid before cleaning, so greedy is near-optimal); the bench
 // exists to quantify that, not to declare a winner.
 func BenchmarkAblationVictimPolicy(b *testing.B) {
-	for _, policy := range []iosnap.VictimPolicy{iosnap.VictimGreedy, iosnap.VictimCostBenefit} {
+	for _, policy := range []logcore.VictimPolicy{logcore.VictimGreedy, logcore.VictimCostBenefit} {
 		b.Run(policy.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				nc := benchNand()

@@ -120,7 +120,7 @@ func TestCheckpointFallsBackOnIncompleteChunks(t *testing.T) {
 func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	f := newTestFTL(t)
 	model, now := fillAndChurn(t, f, 150, 30, 35)
-	oldHead := f.headSeg
+	oldHead := f.HeadSeg
 	plan := faultinject.NewPlan(0, faultinject.Rule{
 		Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
 		AfterN: 1, Times: 10, // outlasts the retry budget: a permanent failure
@@ -138,7 +138,7 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	if f.Device().Anchor() != nil {
 		t.Fatal("aborted checkpoint left an anchor")
 	}
-	if f.headSeg == oldHead {
+	if f.HeadSeg == oldHead {
 		t.Fatal("head not sealed off the failing segment")
 	}
 	// Still writable, and a retried checkpoint commits and mounts.

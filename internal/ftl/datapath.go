@@ -1,54 +1,18 @@
 package ftl
 
-// The foreground data path, rebuilt around batches. A multi-sector request
-// is one *run*: the forward map is charged one MapCPUCost per leaf the run
-// spans in a maximally-packed tree (ftlmap.RunSpan) instead of one per sector, translations move
-// through the run operations (InsertRun / LookupRange / DeleteRange),
-// validity flips word-at-a-time, and the NAND sees one batch call per
-// log-head chunk instead of one call per sector.
-//
-// Config.ReferenceDataPath selects the historical per-sector algorithms —
-// per-key map operations, guarded per-bit validity flips, per-page device
-// calls — on the *same* virtual-time skeleton: the same MapCPUCost charge,
-// the same chunk boundaries, the same submit times, and the same Stats
-// increments. The two paths must therefore produce bit-identical device
-// state, Stats, and completion times on any fault-free workload; the
-// equivalence tests enforce exactly that.
-//
-// Partial failure is accounted honestly: when the device fails mid-run, the
-// sectors that completed stay committed (map, validity, stats) and the
-// returned time reflects the work actually consumed, rather than discarding
-// both as the per-sector path once did.
+// The vanilla FTL's side of the batched data path (the run machinery
+// itself lives in logcore): validity flips word-at-a-time over the single
+// bitmap, with the per-segment counters adjusted by the number of bits that
+// actually transitioned. Config.ReferenceDataPath selects guarded per-bit
+// flips instead, on the same virtual-time skeleton, so the two paths
+// produce bit-identical device state, Stats, and completion times.
 
 import (
 	"fmt"
-	"sort"
 
-	"iosnap/internal/ftlmap"
-	"iosnap/internal/header"
 	"iosnap/internal/nand"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
-
-// dataPathScratch holds the per-FTL reusable buffers of the batched data
-// path; the simulation is single-threaded, so one set suffices.
-type dataPathScratch struct {
-	addrs   []nand.PageAddr
-	datas   [][]byte
-	oobs    [][]byte
-	oobBuf  []byte   // flat backing store for oobs: header.Len bytes per page
-	rdatas  [][]byte // devReadPages results, valid until its next call
-	roobs   [][]byte
-	entries []ftlmap.Entry
-	prevs   []uint64
-	vals    []uint64
-	found   []bool
-	secIdx  []int
-
-	mapMiss  []uint64        // translation-page indices to fault (mappage.go)
-	mapAddrs []nand.PageAddr // their flash addresses
-}
 
 // Read implements blockdev.Device. Unmapped sectors read as zeros. Reads
 // that fail mid-run report the sectors completed before the failure in
@@ -62,78 +26,10 @@ func (f *FTL) Read(now sim.Time, lba int64, buf []byte) (sim.Time, error) {
 	if err := f.checkIO(lba, n); err != nil {
 		return now, err
 	}
-	completed, done, err := f.readRun(now, lba, n, buf)
+	completed, done, err := f.ReadRun(now, f.fmap, lba, n, buf)
 	f.stats.UserReads += int64(completed)
 	f.stats.BytesRead += int64(completed) * int64(ss)
 	return done, err
-}
-
-func (f *FTL) readRun(now sim.Time, lba int64, n int, buf []byte) (completed int, done sim.Time, err error) {
-	ss := f.cfg.Nand.SectorSize
-	span := ftlmap.RunSpan(n)
-	f.stats.BatchDescents += int64(span)
-	t := now.Add(sim.Duration(span) * f.cfg.MapCPUCost)
-	if t, err = f.mapEnsure(t, uint64(lba), n); err != nil {
-		return 0, t, err
-	}
-	done = t
-
-	// Resolve the run's translations; unmapped sectors read as zeros.
-	addrs := f.ws.addrs[:0]
-	secIdx := f.ws.secIdx[:0]
-	if f.cfg.ReferenceDataPath {
-		for i := 0; i < n; i++ {
-			if a, ok := f.fmap.Lookup(uint64(lba) + uint64(i)); ok {
-				addrs = append(addrs, nand.PageAddr(a))
-				secIdx = append(secIdx, i)
-			} else {
-				zeroSector(buf[i*ss : (i+1)*ss])
-			}
-		}
-	} else {
-		vals, found := f.lookupScratch(n)
-		f.fmap.LookupRange(uint64(lba), vals, found)
-		for i := 0; i < n; i++ {
-			if found[i] {
-				addrs = append(addrs, nand.PageAddr(vals[i]))
-				secIdx = append(secIdx, i)
-				found[i] = false // leave the scratch all-false for reuse
-			} else {
-				zeroSector(buf[i*ss : (i+1)*ss])
-			}
-		}
-	}
-	f.ws.addrs, f.ws.secIdx = addrs, secIdx
-	if len(addrs) == 0 {
-		return n, done, nil
-	}
-	f.stats.BatchPages += int64(len(addrs))
-	f.stats.BatchNandCalls++
-
-	if f.cfg.ReferenceDataPath {
-		for j, a := range addrs {
-			data, _, d, err := f.devReadPage(t, a)
-			if err != nil {
-				return secIdx[j], done, fmt.Errorf("ftl: reading LBA %d: %w", lba+int64(secIdx[j]), err)
-			}
-			copy(buf[secIdx[j]*ss:(secIdx[j]+1)*ss], data) // nil data (fingerprint mode) leaves buf as-is
-			if d > done {
-				done = d
-			}
-		}
-		return n, done, nil
-	}
-	datas, _, k, d, err := f.devReadPages(t, addrs)
-	for j := 0; j < k; j++ {
-		copy(buf[secIdx[j]*ss:(secIdx[j]+1)*ss], datas[j])
-	}
-	if d > done {
-		done = d
-	}
-	if err != nil {
-		return secIdx[k], done, fmt.Errorf("ftl: reading LBA %d: %w", lba+int64(secIdx[k]), err)
-	}
-	return n, done, nil
 }
 
 // Write implements blockdev.Device: the run is appended at the log head in
@@ -145,110 +41,13 @@ func (f *FTL) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
 	if len(data)%ss != 0 {
 		return now, fmt.Errorf("%w: %d", ErrBadLength, len(data))
 	}
-	n := len(data) / ss
-	if err := f.checkIO(lba, n); err != nil {
+	if err := f.checkIO(lba, len(data)/ss); err != nil {
 		return now, err
 	}
-	span := ftlmap.RunSpan(n)
-	f.stats.BatchDescents += int64(span)
-	at := now.Add(sim.Duration(span) * f.cfg.MapCPUCost)
-	at, err := f.mapEnsure(at, uint64(lba), n)
-	done := at
-	if err != nil {
-		return done, err
-	}
-	written := 0
-	var firstErr error
-	for written < n && firstErr == nil {
-		// The first page of each chunk goes through allocPage so head
-		// advancement (and any forced cleaning) behaves exactly as before;
-		// the rest of the chunk fills the head segment contiguously.
-		addr0, at2, err := f.allocPage(at)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		at = at2
-		if at > done {
-			done = at
-		}
-		chunk := n - written
-		if room := f.cfg.Nand.PagesPerSegment - f.headIdx + 1; chunk > room {
-			chunk = room
-		}
-		addrs := append(f.ws.addrs[:0], addr0)
-		for j := 1; j < chunk; j++ {
-			addrs = append(addrs, f.dev.Addr(f.headSeg, f.headIdx))
-			f.headIdx++
-		}
-		seqBase := f.seq
-		datas, oobs := f.ws.datas[:0], f.ws.oobs[:0]
-		if f.cfg.ReferenceDataPath {
-			// Historical host-cost profile: one fresh header buffer per page.
-			for j := 0; j < chunk; j++ {
-				datas = append(datas, data[(written+j)*ss:(written+j+1)*ss])
-				h := header.Header{Type: header.TypeData, LBA: uint64(lba) + uint64(written+j), Epoch: 0, Seq: seqBase + uint64(j) + 1}
-				oobs = append(oobs, h.Marshal())
-			}
-		} else {
-			if need := chunk * header.Len; cap(f.ws.oobBuf) < need {
-				f.ws.oobBuf = make([]byte, need)
-			}
-			for j := 0; j < chunk; j++ {
-				datas = append(datas, data[(written+j)*ss:(written+j+1)*ss])
-				h := header.Header{Type: header.TypeData, LBA: uint64(lba) + uint64(written+j), Epoch: 0, Seq: seqBase + uint64(j) + 1}
-				oob := f.ws.oobBuf[j*header.Len : (j+1)*header.Len]
-				h.MarshalInto(oob)
-				oobs = append(oobs, oob)
-			}
-		}
-		f.seq += uint64(chunk)
-		f.ws.addrs, f.ws.datas, f.ws.oobs = addrs, datas, oobs
-		f.stats.BatchPages += int64(chunk)
-		f.stats.BatchNandCalls++
-
-		var k int
-		var d sim.Time
-		if f.cfg.ReferenceDataPath {
-			d = at
-			for k = 0; k < chunk; k++ {
-				pd, e := f.devProgramPage(at, addrs[k], datas[k], oobs[k])
-				if pd > d {
-					d = pd
-				}
-				if e != nil {
-					err = e
-					break
-				}
-			}
-		} else {
-			k, d, err = f.devProgramPages(at, addrs, datas, oobs)
-		}
-		if d > done {
-			done = d
-		}
-		if k > 0 {
-			f.segLastSeq[f.dev.SegmentOf(addrs[0])] = seqBase + uint64(k)
-		}
-		if err != nil {
-			// Pages past the failing one were never attempted: they hand
-			// back their sequence numbers and log-head slots. The failing
-			// page keeps its consumed seq (as the per-sector path always
-			// did) and is reclaimed by ungetPage unless it landed after all.
-			f.seq -= uint64(chunk - k - 1)
-			f.headIdx -= chunk - k - 1
-			f.ungetPage(addrs[k])
-			if retry.MediaFailure(err) {
-				f.sealHead() // move future appends off the failing segment
-			}
-			firstErr = fmt.Errorf("ftl: programming LBA %d: %w", lba+int64(written+k), err)
-		}
-		f.commitWriteRun(uint64(lba)+uint64(written), addrs[:k])
-		written += k
-	}
+	written, done, err := f.WriteRun(now, f.fmap, lba, data, 0, f.commitWriteRun)
 	f.stats.UserWrites += int64(written)
 	f.stats.BytesWritten += int64(written) * int64(ss)
-	return done, firstErr
+	return done, err
 }
 
 // commitWriteRun installs translations for a run of freshly-programmed
@@ -256,9 +55,6 @@ func (f *FTL) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
 // run in the head segment; displaced translations are invalidated in
 // coalesced runs.
 func (f *FTL) commitWriteRun(lba0 uint64, addrs []nand.PageAddr) {
-	if len(addrs) == 0 {
-		return
-	}
 	if f.cfg.ReferenceDataPath {
 		for j, a := range addrs {
 			if prev, existed := f.fmap.Insert(lba0+uint64(j), uint64(a)); existed {
@@ -268,17 +64,9 @@ func (f *FTL) commitWriteRun(lba0 uint64, addrs []nand.PageAddr) {
 		}
 		return
 	}
-	entries := f.ws.entries[:0]
-	for j, a := range addrs {
-		entries = append(entries, ftlmap.Entry{Key: lba0 + uint64(j), Val: uint64(a)})
-	}
-	f.ws.entries = entries
-	f.ws.prevs = f.ws.prevs[:0]
-	f.fmap.InsertRun(entries, func(_ int, prev uint64) {
-		f.ws.prevs = append(f.ws.prevs, prev)
-	})
+	prevs := f.InsertRun(f.fmap, lba0, addrs)
 	f.markValidRun(int64(addrs[0]), int64(addrs[0])+int64(len(addrs)))
-	f.markInvalidRuns(f.ws.prevs)
+	f.SegmentRuns(prevs, f.markInvalidRun)
 }
 
 // markValidRun sets validity over one segment-contained physical run with a
@@ -294,38 +82,11 @@ func (f *FTL) markValidRun(lo, hi int64) {
 	f.acct.onRunDelta(lo, delta)
 }
 
-// markInvalidRuns invalidates the given physical pages, coalescing sorted
-// neighbours into ClearRange calls. Runs are split at segment boundaries so
-// each counter update stays within one segment.
-func (f *FTL) markInvalidRuns(prevs []uint64) {
-	if len(prevs) == 0 {
-		return
-	}
-	sorted := true
-	for i := 1; i < len(prevs); i++ {
-		if prevs[i] < prevs[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted { // sequential overwrites displace already-ascending runs
-		sort.Slice(prevs, func(i, j int) bool { return prevs[i] < prevs[j] })
-	}
-	pps := int64(f.cfg.Nand.PagesPerSegment)
-	for i := 0; i < len(prevs); {
-		lo := int64(prevs[i])
-		hi := lo + 1
-		segEnd := (lo/pps + 1) * pps
-		j := i + 1
-		for j < len(prevs) && int64(prevs[j]) == hi && hi < segEnd {
-			hi++
-			j++
-		}
-		if delta := f.validity.CountRange(lo, hi); delta > 0 {
-			f.validity.ClearRange(lo, hi)
-			f.acct.onRunDelta(lo, -delta)
-		}
-		i = j
+// markInvalidRun is markValidRun's inverse.
+func (f *FTL) markInvalidRun(lo, hi int64) {
+	if delta := f.validity.CountRange(lo, hi); delta > 0 {
+		f.validity.ClearRange(lo, hi)
+		f.acct.onRunDelta(lo, -delta)
 	}
 }
 
@@ -336,9 +97,8 @@ func (f *FTL) Trim(now sim.Time, lba int64, n int64) (sim.Time, error) {
 	if err := f.checkIO(lba, int(n)); err != nil {
 		return now, err
 	}
-	span := ftlmap.RunSpan(int(n))
-	f.stats.BatchDescents += int64(span)
-	t, err := f.mapEnsureRange(now, uint64(lba), uint64(lba)+uint64(n))
+	charge := f.ChargeRun(int(n))
+	t, err := f.MapEnsureRange(now, f.fmap, uint64(lba), uint64(lba)+uint64(n))
 	if err != nil {
 		return t, err
 	}
@@ -349,28 +109,8 @@ func (f *FTL) Trim(now sim.Time, lba int64, n int64) (sim.Time, error) {
 			}
 		}
 	} else {
-		f.ws.prevs = f.ws.prevs[:0]
-		f.fmap.DeleteRange(uint64(lba), uint64(lba)+uint64(n), func(_, prev uint64) {
-			f.ws.prevs = append(f.ws.prevs, prev)
-		})
-		f.markInvalidRuns(f.ws.prevs)
+		f.SegmentRuns(f.DeleteRange(f.fmap, uint64(lba), uint64(lba)+uint64(n)), f.markInvalidRun)
 	}
 	f.stats.Trims += n
-	return t.Add(sim.Duration(span) * f.cfg.MapCPUCost), nil
-}
-
-// lookupScratch returns the reusable LookupRange buffers, grown to n and
-// with found all-false (readRun resets the bits it sets).
-func (f *FTL) lookupScratch(n int) ([]uint64, []bool) {
-	if cap(f.ws.vals) < n {
-		f.ws.vals = make([]uint64, n)
-		f.ws.found = make([]bool, n)
-	}
-	return f.ws.vals[:n], f.ws.found[:n]
-}
-
-func zeroSector(s []byte) {
-	for i := range s {
-		s[i] = 0
-	}
+	return t.Add(charge), nil
 }

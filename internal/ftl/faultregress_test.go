@@ -34,7 +34,7 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	pps := int64(f.cfg.Nand.PagesPerSegment)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg == f.headSeg {
+		if seg == f.HeadSeg {
 			continue
 		}
 		for p := int64(seg) * pps; p < int64(seg+1)*pps; p++ {

@@ -12,23 +12,16 @@ import (
 // pick up the segment which was just written"). Use CleaningActive to
 // observe completion.
 func (f *FTL) ForceClean(now sim.Time, seg int) error {
-	if f.closed {
+	if f.Closed {
 		return ErrClosed
 	}
 	if f.gcActive {
 		return fmt.Errorf("ftl: cleaner already active")
 	}
-	if seg < 0 || seg >= f.cfg.Nand.Segments || seg == f.headSeg {
+	if seg < 0 || seg >= f.cfg.Nand.Segments || seg == f.HeadSeg {
 		return fmt.Errorf("ftl: segment %d not cleanable", seg)
 	}
-	found := false
-	for _, s := range f.usedSegs {
-		if s == seg {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !f.InUse(seg) {
 		return fmt.Errorf("ftl: segment %d not in use", seg)
 	}
 	valid := f.acct.validCount(seg)
@@ -49,4 +42,4 @@ func (f *FTL) CleaningActive() bool { return f.gcActive }
 
 // UsedSegments returns the segments currently holding data, oldest first
 // (the log head is last).
-func (f *FTL) UsedSegments() []int { return append([]int(nil), f.usedSegs...) }
+func (f *FTL) UsedSegments() []int { return append([]int(nil), f.UsedSegs...) }

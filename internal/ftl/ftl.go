@@ -1,13 +1,12 @@
 // Package ftl implements the vanilla log-structured FTL the paper builds
-// on: the Fusion-io Virtual Storage Layer as described in §5.2 — a host-
-// memory B+tree forward map, a validity bitmap, Remap-on-Write log
-// appends, a greedy paced segment cleaner, checkpoint on clean shutdown,
-// and crash recovery by log scan.
+// on: the Fusion-io Virtual Storage Layer as described in §5.2. The shared
+// log core (internal/logcore) supplies the log head, Remap-on-Write
+// appends, the media boundary and checkpoint pinning; this package adds a
+// single validity bitmap, the greedy paced segment cleaner over it,
+// checkpoint serialization, and crash recovery by log scan.
 //
 // This package has no snapshot support at all; it is the baseline
-// ("Vanilla") column of the paper's Table 2 and Table 4. Package iosnap
-// extends the same design with epochs, snapshot trees, and CoW validity
-// maps.
+// ("Vanilla") column of the paper's Table 2 and Table 4.
 package ftl
 
 import (
@@ -15,183 +14,28 @@ import (
 	"fmt"
 
 	"iosnap/internal/bitmap"
+	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
 // Errors returned by FTL operations.
 var (
-	ErrOutOfRange  = errors.New("ftl: LBA out of range")
-	ErrBadLength   = errors.New("ftl: buffer not a multiple of sector size")
-	ErrClosed      = errors.New("ftl: device closed")
-	ErrDeviceFull  = errors.New("ftl: no reclaimable space")
-	ErrUnformatted = errors.New("ftl: device holds no valid log")
-	// ErrOutOfSpace is graceful degradation: new writes are shed because the
-	// free pool is down to the rescue reserve and cleaning cannot refill it.
-	// Reads, trims, and background cleaning keep running, and writes resume
-	// automatically once reclaimed space lifts the pool above the reserve.
-	ErrOutOfSpace = errors.New("ftl: out of space (degraded: writes shed, reads still served)")
+	ErrOutOfRange = errors.New("ftl: LBA out of range")
+	ErrBadLength  = errors.New("ftl: buffer not a multiple of sector size")
+	ErrClosed     = errors.New("ftl: device closed")
+	ErrDeviceFull = logcore.ErrDeviceFull
+	ErrOutOfSpace = logcore.ErrOutOfSpace
 )
 
-// Config parameterizes the FTL above the raw NAND geometry.
-type Config struct {
-	Nand nand.Config
-
-	// UserSectors is the advertised logical capacity. It must leave
-	// over-provisioning headroom below the physical capacity or the cleaner
-	// cannot make progress; Default leaves 1/8 plus the reserve.
-	UserSectors int64
-
-	// ReserveSegments triggers background cleaning when the free-segment
-	// pool drops to this level. Writes that find the pool down to one
-	// segment force synchronous cleaning.
-	ReserveSegments int
-
-	// GCWindow is the interval over which the cleaner paces the copy-forward
-	// of one victim segment.
-	GCWindow sim.Duration
-
-	// GCChunk is the number of pages the cleaner copies per quantum.
-	GCChunk int
-
-	// VictimPolicy selects how the cleaner picks segments (§5.2.3: "the
-	// segment to erase is chosen on the basis of ... invalid data ... and
-	// the relative age of the blocks").
-	VictimPolicy VictimPolicy
-
-	// MapCPUCost models the host CPU cost of one forward-map descent on the
-	// I/O path. A multi-sector request is charged once per *leaf* its run
-	// spans in a maximally-packed tree (ftlmap.RunSpan), not once per sector — the batched data
-	// path's cost model (DESIGN.md §10).
-	MapCPUCost sim.Duration
-
-	// MapCachePages selects the forward map's memory layout (DESIGN.md
-	// §13). 0 (the default) keeps the in-RAM B+tree. Non-zero switches to
-	// the flash-resident paged map: translation pages of
-	// mapcache.SlotsFor(SectorSize) slots each, a RAM-pinned global
-	// translation directory, and a CLOCK cache of resident pages. A
-	// positive value bounds the cache to that many resident translation
-	// pages — dirty pages write back through the log head on eviction and
-	// the map's host footprint becomes O(cache + GTD) instead of O(map) —
-	// and requires a data-storing device (Nand.StoreData). A negative
-	// value runs the paged layout cache-unbounded: nothing is ever written
-	// to flash, which keeps it lockstep bit-exact with the tree.
-	MapCachePages int
-
-	// ReferenceDataPath selects the per-sector reference implementation of
-	// the data path: per-key map operations, per-bit validity flips, and
-	// per-page device calls, all on the exact virtual-time skeleton the
-	// batched path uses. It exists to pin the batched path's semantics (the
-	// equivalence tests run every workload both ways) and as the baseline
-	// the data-path benchmarks compare against.
-	ReferenceDataPath bool
-
-	// MergeCPUPerBlock models the cleaner's host CPU cost to determine one
-	// block's validity. The vanilla FTL consults a single bitmap; the
-	// snapshot FTL pays this per epoch merged (Table 4's "validity merge").
-	MergeCPUPerBlock sim.Duration
-
-	// Retry bounds per-NAND-operation retries of transient media errors.
-	// The zero value disables retrying.
-	Retry retry.Policy
-
-	// RescueReserve is the number of free segments the write path must leave
-	// untouched: headroom that keeps the cleaner and segment rescue able to
-	// make progress even when users have filled the device. Writes that
-	// would dip into the reserve (and cannot force-clean their way out) are
-	// shed with ErrOutOfSpace. 0 behaves like the historical floor of 1.
-	RescueReserve int
-
-	// CheckpointInterval arms periodic background checkpointing: once at
-	// least this much virtual time has passed since the last checkpoint, the
-	// next head advance starts a paced checkpoint task. 0 disables the
-	// periodic mode (Close still writes a synchronous checkpoint). Periodic
-	// checkpoints only run when the NAND stores payloads
-	// (nand.Config.StoreData) — without payloads a checkpoint can never be
-	// read back.
-	CheckpointInterval sim.Duration
-
-	// CheckpointLimit paces the background checkpoint task's chunk
-	// programs, like the scrubber's budget: after Work time spent
-	// programming chunks, the task sleeps Sleep. The zero value is
-	// unlimited.
-	CheckpointLimit ratelimit.WorkSleep
-}
+// Config parameterizes the FTL above the raw NAND geometry. The vanilla
+// FTL needs nothing beyond the log core's settings.
+type Config = logcore.Config
 
 // DefaultConfig returns a config over the given NAND geometry with the
 // calibrated defaults used throughout the experiments.
-func DefaultConfig(nc nand.Config) Config {
-	phys := nc.TotalPages()
-	reserve := nc.Segments / 16
-	if reserve < 2 {
-		reserve = 2
-	}
-	user := phys * 7 / 8
-	// Never advertise into the reserve segments.
-	maxUser := int64(nc.Segments-reserve-1) * int64(nc.PagesPerSegment)
-	if user > maxUser {
-		user = maxUser
-	}
-	return Config{
-		Nand:             nc,
-		UserSectors:      user,
-		ReserveSegments:  reserve,
-		GCWindow:         10 * sim.Second,
-		GCChunk:          32,
-		MapCPUCost:       300 * sim.Nanosecond,
-		MergeCPUPerBlock: 15 * sim.Nanosecond,
-		Retry:            retry.Default(),
-		RescueReserve:    2,
-	}
-}
-
-// dataReserve is the free-segment floor user writes may not cross; the
-// historical behaviour (keep one segment for the cleaner) is the minimum.
-func (c Config) dataReserve() int {
-	if c.RescueReserve < 1 {
-		return 1
-	}
-	return c.RescueReserve
-}
-
-// Validate checks config consistency.
-func (c Config) Validate() error {
-	if err := c.Nand.Validate(); err != nil {
-		return err
-	}
-	if c.UserSectors <= 0 {
-		return fmt.Errorf("ftl: UserSectors %d must be positive", c.UserSectors)
-	}
-	if c.UserSectors >= c.Nand.TotalPages() {
-		return fmt.Errorf("ftl: UserSectors %d leaves no over-provisioning (physical %d)",
-			c.UserSectors, c.Nand.TotalPages())
-	}
-	if c.ReserveSegments < 1 || c.ReserveSegments >= c.Nand.Segments {
-		return fmt.Errorf("ftl: ReserveSegments %d out of range", c.ReserveSegments)
-	}
-	if c.GCChunk <= 0 {
-		return fmt.Errorf("ftl: GCChunk %d must be positive", c.GCChunk)
-	}
-	if c.RescueReserve < 0 || c.RescueReserve >= c.Nand.Segments {
-		return fmt.Errorf("ftl: RescueReserve %d out of range", c.RescueReserve)
-	}
-	if c.MapCachePages > 0 && !c.Nand.StoreData {
-		return fmt.Errorf("ftl: MapCachePages %d requires a data-storing device (translation pages live on flash)", c.MapCachePages)
-	}
-	return nil
-}
-
-// mapLimit converts MapCachePages to the cache's residency-limit parameter
-// (<=0 = unbounded).
-func (c Config) mapLimit() int {
-	if c.MapCachePages < 0 {
-		return 0
-	}
-	return c.MapCachePages
-}
+func DefaultConfig(nc nand.Config) Config { return logcore.DefaultConfig(nc) }
 
 // Stats counts FTL-level activity.
 type Stats struct {
@@ -246,9 +90,12 @@ type Stats struct {
 	RecoveryHeaderPages int64 // header pages recovery scanned
 }
 
-// FTL is the vanilla log-structured translation layer. It is not safe for
+// FTL is the vanilla log-structured translation layer: the shared log core
+// plus a single validity bitmap and its cleaner. It is not safe for
 // concurrent use (the whole simulation is single-threaded virtual time).
 type FTL struct {
+	logcore.Log
+
 	cfg   Config
 	dev   *nand.Device
 	sched *sim.Scheduler
@@ -256,42 +103,11 @@ type FTL struct {
 	fmap     *mapcache.Map
 	validity *bitmap.Bitmap
 
-	headSeg    int      // segment currently absorbing appends
-	headIdx    int      // next page index within headSeg
-	seq        uint64   // global write sequence number
-	freeSegs   []int    // erased segments available for the log head
-	usedSegs   []int    // segments with data, oldest first (headSeg is last)
-	segLastSeq []uint64 // newest write sequence in each segment (victim aging)
-
 	gcActive bool
 	gcVictim int // segment a background gcTask currently owns (-1 = none)
-	degraded bool
-	closed   bool
 	stats    Stats
 
 	acct *gcAcct // incremental per-segment valid counters (gcacct.go)
-
-	ws dataPathScratch // reusable buffers for the batched data path (datapath.go)
-
-	// Checkpoint state. Chunk pages are never valid in the bitmap — they are
-	// consumed at recovery, not translated — so the pin set is what keeps the
-	// cleaner from erasing the newest durable checkpoint (and one in flight)
-	// out from under a future recovery; pinned pages are copy-forwarded like
-	// valid ones and the anchor follows them. anchorID/anchorAddrs mirror the
-	// device anchor; ckptInflight is the partial chunk list of a running
-	// background checkpoint task.
-	ckptActive   bool
-	lastCkpt     sim.Time
-	ckptPins     map[nand.PageAddr]bool
-	anchorID     uint64
-	anchorAddrs  []nand.PageAddr
-	ckptInflight []nand.PageAddr
-
-	// mapPins protects on-flash translation pages (paged map mode) the
-	// same way ckptPins protects checkpoint chunks: translation pages are
-	// never valid in the bitmap, so the pin is their only cleaning
-	// protection. Keyed by flash address, valued by translation-page index.
-	mapPins map[nand.PageAddr]uint64
 }
 
 // markValid sets a validity bit and keeps the per-segment counters exact.
@@ -313,6 +129,25 @@ func (f *FTL) markInvalid(p int64) {
 	f.acct.onClear(p)
 }
 
+// shell builds an FTL over dev with an empty log and map; New formats it,
+// recovery fills it in from a scan.
+func shell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
+	if sched == nil {
+		sched = sim.NewScheduler()
+	}
+	f := &FTL{
+		cfg:      cfg,
+		dev:      dev,
+		sched:    sched,
+		validity: bitmap.New(cfg.Nand.TotalPages()),
+		gcVictim: -1,
+	}
+	f.Init(cfg, dev, sched, f)
+	f.fmap = f.NewMap()
+	f.acct = newGCAcct(f)
+	return f
+}
+
 // New formats a fresh device and returns an FTL over it. The scheduler is
 // where the FTL queues its background cleaning; callers drive it via
 // Scheduler().RunUntil(now) (the workload package does this automatically).
@@ -320,27 +155,8 @@ func New(cfg Config, sched *sim.Scheduler) (*FTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if sched == nil {
-		sched = sim.NewScheduler()
-	}
-	f := &FTL{
-		cfg:        cfg,
-		dev:        nand.New(cfg.Nand),
-		sched:      sched,
-		validity:   bitmap.New(cfg.Nand.TotalPages()),
-		gcVictim:   -1,
-		segLastSeq: make([]uint64, cfg.Nand.Segments),
-		ckptPins:   make(map[nand.PageAddr]bool),
-		mapPins:    make(map[nand.PageAddr]uint64),
-	}
-	f.fmap = f.newActiveMap()
-	for s := cfg.Nand.Segments - 1; s >= 1; s-- {
-		f.freeSegs = append(f.freeSegs, s)
-	}
-	f.headSeg = 0
-	f.usedSegs = []int{0}
-	f.acct = newGCAcct(f)
-	f.acct.track(0)
+	f := shell(cfg, nand.New(cfg.Nand), sched)
+	f.Format()
 	return f, nil
 }
 
@@ -362,6 +178,11 @@ func (f *FTL) Sectors() int64 { return f.cfg.UserSectors }
 // Stats returns a snapshot of the counters with derived fields refreshed.
 func (f *FTL) Stats() Stats {
 	s := f.stats
+	c := f.Counters
+	s.Retries, s.MediaFailures, s.OutOfSpaceWrites = c.Retries, c.MediaFailures, c.OutOfSpaceWrites
+	s.BatchDescents, s.BatchPages, s.BatchNandCalls = c.BatchDescents, c.BatchPages, c.BatchNandCalls
+	s.Checkpoints, s.CheckpointChunks = c.Checkpoints, c.CheckpointChunks
+	s.CheckpointErrors, s.CheckpointLastErr = c.CheckpointErrors, c.CheckpointLastErr
 	s.MapMemory = f.fmap.MemoryBytes()
 	s.MapMemoryResident = f.fmap.ResidentBytes()
 	if c := f.fmap.Paged(); c != nil {
@@ -375,18 +196,18 @@ func (f *FTL) Stats() Stats {
 		s.WriteAmplify = float64(s.UserWrites+s.GCCopied) / float64(s.UserWrites)
 	}
 	s.SegmentsSuspect, s.SegmentsRetired = f.dev.HealthCounts()
-	s.Degraded = f.degraded
+	s.Degraded = f.Degraded
 	return s
 }
 
 // FreeSegments returns the size of the erased-segment pool.
-func (f *FTL) FreeSegments() int { return len(f.freeSegs) }
+func (f *FTL) FreeSegments() int { return len(f.FreeSegs) }
 
 // MappedSectors returns how many LBAs currently have a translation.
 func (f *FTL) MappedSectors() int { return f.fmap.Len() }
 
 func (f *FTL) checkIO(lba int64, n int) error {
-	if f.closed {
+	if f.Closed {
 		return ErrClosed
 	}
 	if n == 0 {
@@ -398,65 +219,27 @@ func (f *FTL) checkIO(lba int64, n int) error {
 	return nil
 }
 
-// ungetPage rolls back the most recent allocPage/allocPageGC after a failed
-// program. Without it the unprogrammed page becomes a permanent hole at the
-// log head: SequentialProg devices reject every later program in the segment
-// with ErrOutOfOrder, turning one transient fault into a bricked log. Only
-// the exact page just handed out is reclaimed, and only if the program
-// really did not land.
-func (f *FTL) ungetPage(addr nand.PageAddr) {
-	if f.headIdx == 0 || addr != f.dev.Addr(f.headSeg, f.headIdx-1) {
-		return
-	}
-	if _, err := f.dev.PageOOB(addr); err == nil {
-		return
-	}
-	f.headIdx--
-}
+// SegmentOpened implements logcore.Policy: a new log-head segment joins the
+// cleaner's accounting.
+func (f *FTL) SegmentOpened(seg int) { f.acct.track(seg) }
 
-// allocPage returns the next log-head page, advancing segments and invoking
-// the cleaner as needed. The returned time reflects any synchronous
-// cleaning the caller had to wait for.
-func (f *FTL) allocPage(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		var err error
-		now, err = f.advanceHead(now)
-		if err != nil {
-			return 0, now, err
-		}
-	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
-}
+// SegmentReleased implements logcore.Policy: an erased or retired segment
+// leaves the cleaner's accounting.
+func (f *FTL) SegmentReleased(seg int) { f.acct.untrack(seg) }
 
-func (f *FTL) advanceHead(now sim.Time) (sim.Time, error) {
-	// Forced cleaning: the pool is down to the reserve and the writer must
-	// wait. If cleaning cannot lift it back out, the write is shed instead
-	// of bricking the device — reads, trims, and GC continue, and the next
-	// write re-evaluates the pool from scratch.
-	for len(f.freeSegs) <= f.cfg.dataReserve() {
-		var err error
-		now, err = f.cleanOnce(now, true)
-		if err != nil {
-			if errors.Is(err, ErrDeviceFull) {
-				f.degraded = true
-				f.stats.OutOfSpaceWrites++
-				return now, ErrOutOfSpace
-			}
-			return now, err
-		}
-	}
-	f.degraded = false
-	f.headSeg = f.freeSegs[0]
-	f.freeSegs = f.freeSegs[1:]
-	f.headIdx = 0
-	f.usedSegs = append(f.usedSegs, f.headSeg)
-	f.acct.track(f.headSeg)
+// HeadAdvanced implements logcore.Policy: a head advance arms the
+// background cleaner and the periodic checkpoint.
+func (f *FTL) HeadAdvanced(now sim.Time) {
 	f.maybeScheduleGC(now)
-	f.maybeScheduleCheckpoint(now)
-	return now, nil
+	f.MaybeScheduleCheckpoint(now, f.fmap)
 }
+
+// MapFrozen implements logcore.Policy: the vanilla FTL never freezes.
+func (f *FTL) MapFrozen() bool { return false }
+
+// StartCheckpoint forces a background checkpoint now (tests and tools).
+// It reports whether a task was scheduled.
+func (f *FTL) StartCheckpoint(now sim.Time) bool { return f.Log.StartCheckpoint(now, f.fmap) }
 
 // Close checkpoints the forward map to the log and marks the FTL closed.
 // Recovery from a checkpoint requires the NAND to store payloads
@@ -469,13 +252,12 @@ func (f *FTL) advanceHead(now sim.Time) (sim.Time, error) {
 // back to the full scan, matching iosnap's Close semantics. The returned
 // time includes the NAND/bus time consumed by a partial attempt.
 func (f *FTL) Close(now sim.Time) (sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return now, ErrClosed
 	}
-	if !f.ckptActive {
-		done, _ := f.writeCheckpoint(now)
-		now = done
+	if !f.CkptActive {
+		now, _ = f.WriteCheckpoint(now, f.fmap)
 	}
-	f.closed = true
+	f.Closed = true
 	return now, nil
 }

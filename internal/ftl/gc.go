@@ -4,47 +4,16 @@ import (
 	"fmt"
 
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
-
-// VictimPolicy selects the cleaner's segment-choice heuristic.
-type VictimPolicy int
-
-const (
-	// VictimGreedy picks the segment with the most invalid blocks.
-	VictimGreedy VictimPolicy = iota
-	// VictimCostBenefit weighs reclaimable space by block age (the classic
-	// LFS benefit/cost heuristic): older, colder segments win ties, which
-	// segregates cold data and reduces long-run write amplification.
-	VictimCostBenefit
-)
-
-func (p VictimPolicy) String() string {
-	if p == VictimCostBenefit {
-		return "cost-benefit"
-	}
-	return "greedy"
-}
-
-// victimScore rates a candidate segment; higher is better.
-func victimScore(policy VictimPolicy, invalid, valid int, curSeq, segSeq uint64) float64 {
-	switch policy {
-	case VictimCostBenefit:
-		u := float64(valid) / float64(valid+invalid)
-		age := float64(curSeq - segSeq)
-		return (1 - u) * age / (1 + u)
-	default:
-		return float64(invalid)
-	}
-}
 
 // maybeScheduleGC starts a background cleaning task when the free pool is at
 // or below the reserve and no cleaner is already running.
 func (f *FTL) maybeScheduleGC(now sim.Time) {
-	if f.gcActive || f.closed || len(f.freeSegs) > f.cfg.ReserveSegments {
+	if f.gcActive || f.Closed || len(f.FreeSegs) > f.cfg.ReserveSegments {
 		return
 	}
 	victim, est := f.selectVictim()
@@ -76,7 +45,7 @@ func (f *FTL) maybeScheduleGC(now sim.Time) {
 // f.acct: O(log S) for greedy, O(S) for cost-benefit, no bitmap walks.
 func (f *FTL) selectVictim() (victim, validPages int) {
 	var e *segCounter
-	if f.cfg.VictimPolicy == VictimCostBenefit {
+	if f.cfg.VictimPolicy == logcore.VictimCostBenefit {
 		e = f.acct.bestCostBenefit()
 	} else {
 		e = f.acct.bestGreedy()
@@ -129,7 +98,7 @@ func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 	f.gcActive = false
 	f.gcVictim = -1
 	if err != nil {
-		// Erase failed; the victim stays in usedSegs, consistent.
+		// Erase failed; the victim stays in UsedSegs, consistent.
 		f.stats.GCErrors++
 		f.stats.GCLastErr = err.Error()
 		return 0, true
@@ -141,9 +110,9 @@ func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 	return 0, true
 }
 
-// cleanOnce synchronously cleans the best victim (the forced path taken by
-// writers when the pool is nearly empty).
-func (f *FTL) cleanOnce(now sim.Time, forced bool) (sim.Time, error) {
+// CleanOnce implements logcore.Policy: it synchronously cleans the best
+// victim (the forced path taken by writers when the pool is nearly empty).
+func (f *FTL) CleanOnce(now sim.Time, forced bool) (sim.Time, error) {
 	victim, _ := f.selectVictim()
 	if victim < 0 {
 		return now, ErrDeviceFull
@@ -209,25 +178,24 @@ func (f *FTL) copyForward(now sim.Time, victim, cursor, max int) (int, sim.Time,
 			// bitmap (they are consumed at recovery or faulted by the map
 			// cache, not translated) but pinned pages must survive cleaning:
 			// they are copied like valid ones and the anchor / GTD follows.
-			_, mapPinned := f.mapPins[old]
-			pinned := f.ckptPins[old] || mapPinned
+			pinned := f.Pinned(old)
 			if !f.validity.Test(int64(old)) && !pinned {
 				continue
 			}
-			dst, _, err := f.allocPageGC(submit)
+			dst, _, err := f.AllocPageGC(submit)
 			if err != nil {
 				planErr = err
 				break
 			}
 			oob, err := f.dev.PageOOB(old)
 			if err != nil {
-				f.ungetPage(dst)
+				f.UngetPage(dst)
 				planErr = fmt.Errorf("ftl: cleaner reading header: %w", err)
 				break
 			}
 			h, err := header.Unmarshal(oob)
 			if err != nil {
-				f.ungetPage(dst)
+				f.UngetPage(dst)
 				planErr = fmt.Errorf("ftl: cleaner decoding header: %w", err)
 				break
 			}
@@ -239,12 +207,12 @@ func (f *FTL) copyForward(now sim.Time, victim, cursor, max int) (int, sim.Time,
 			if len(froms) == 1 {
 				// Confine the batch to the current head segment so a
 				// mid-batch failure rolls back with a plain headIdx walk.
-				if r := 1 + pps - f.headIdx; r < room {
+				if r := 1 + pps - f.HeadIdx; r < room {
 					room = r
 				}
 			}
 		}
-		n, d, copyErr := f.devCopyPages(submit, froms, tos)
+		n, d, copyErr := f.DevCopyPages(submit, froms, tos)
 		if d > maxDone {
 			maxDone = d
 		}
@@ -255,10 +223,10 @@ func (f *FTL) copyForward(now sim.Time, victim, cursor, max int) (int, sim.Time,
 		if copyErr != nil {
 			// Hand back the destinations that were planned but never
 			// attempted, then the failing page's own (which may have landed
-			// after all — ungetPage checks). The cursor resumes just past
+			// after all — UngetPage checks). The cursor resumes just past
 			// the failing victim page, exactly as the per-page loop would.
-			f.headIdx -= len(tos) - n - 1
-			f.ungetPage(tos[n])
+			f.HeadIdx -= len(tos) - n - 1
+			f.UngetPage(tos[n])
 			return idxs[n] + 1, maxDone, copied, fmt.Errorf("ftl: copy-forward: %w", copyErr)
 		}
 		if planErr != nil {
@@ -282,28 +250,27 @@ func (f *FTL) copyForwardRef(now sim.Time, victim, cursor, max int) (int, sim.Ti
 		idx := cursor
 		cursor++
 		old := f.dev.Addr(victim, idx)
-		_, mapPinned := f.mapPins[old]
-		pinned := f.ckptPins[old] || mapPinned
+		pinned := f.Pinned(old)
 		if !f.validity.Test(int64(old)) && !pinned {
 			continue
 		}
-		dst, _, err := f.allocPageGC(submit)
+		dst, _, err := f.AllocPageGC(submit)
 		if err != nil {
 			return cursor, maxDone, copied, err
 		}
 		oob, err := f.dev.PageOOB(old)
 		if err != nil {
-			f.ungetPage(dst)
+			f.UngetPage(dst)
 			return cursor, maxDone, copied, fmt.Errorf("ftl: cleaner reading header: %w", err)
 		}
 		h, err := header.Unmarshal(oob)
 		if err != nil {
-			f.ungetPage(dst)
+			f.UngetPage(dst)
 			return cursor, maxDone, copied, fmt.Errorf("ftl: cleaner decoding header: %w", err)
 		}
-		done, err := f.devCopyPage(submit, old, dst)
+		done, err := f.DevCopyPage(submit, old, dst)
 		if err != nil {
-			f.ungetPage(dst)
+			f.UngetPage(dst)
 			return cursor, maxDone, copied, fmt.Errorf("ftl: copy-forward: %w", err)
 		}
 		if done > maxDone {
@@ -321,17 +288,13 @@ func (f *FTL) copyForwardRef(now sim.Time, victim, cursor, max int) (int, sim.Ti
 func (f *FTL) gcFixup(old, dst nand.PageAddr, h header.Header, pinned bool) {
 	// The destination inherits the block's age (its original seq), so
 	// segments holding cold data still look old to cost-benefit.
-	if dseg := f.dev.SegmentOf(dst); h.Seq > f.segLastSeq[dseg] {
-		f.segLastSeq[dseg] = h.Seq
+	if dseg := f.dev.SegmentOf(dst); h.Seq > f.SegLastSeq[dseg] {
+		f.SegLastSeq[dseg] = h.Seq
 	}
 	if pinned {
 		// The pin and the anchor (or in-flight chunk list, or GTD entry)
 		// follow the page; no translation or validity bit exists to move.
-		if h.Type == header.TypeMapPage {
-			f.moveMapPin(old, dst)
-		} else {
-			f.movePin(old, dst)
-		}
+		f.MovePin(old, dst, h, f.fmap.Paged())
 	} else {
 		// Re-point the translation and move the validity bit.
 		if h.Type == header.TypeData {
@@ -343,51 +306,12 @@ func (f *FTL) gcFixup(old, dst nand.PageAddr, h header.Header, pinned bool) {
 	f.stats.GCCopied++
 }
 
-// allocPageGC allocates a log-head page for the cleaner. Unlike writer
-// allocation it never forces a nested clean; if the pool is exhausted the
-// device is genuinely out of reclaimable space.
-func (f *FTL) allocPageGC(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		if len(f.freeSegs) == 0 {
-			return 0, now, ErrDeviceFull
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-		f.acct.track(f.headSeg)
-	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
-}
-
-// finishClean erases the victim and returns it to the free pool — or
-// retires it. By this point every valid page has been copied off, so a
-// permanently failing or suspect victim can leave service without losing a
-// byte; returning it to the pool would just let the next writer trip over
-// the same dying segment.
+// finishClean erases the cleaned victim and returns it to the free pool,
+// or retires it (logcore.ReclaimSegment).
 func (f *FTL) finishClean(now sim.Time, victim int) (sim.Time, error) {
-	done, err := f.devEraseSegment(now, victim)
-	if err != nil {
-		if retry.MediaFailure(err) {
-			f.retireSegment(victim)
-			return now, nil
-		}
-		return now, fmt.Errorf("ftl: erasing segment %d: %w", victim, err)
+	done, erased, err := f.ReclaimSegment(now, victim)
+	if erased {
+		f.stats.GCErases++
 	}
-	f.stats.GCErases++
-	if f.dev.SegmentHealth(victim) != nand.Healthy {
-		f.retireSegment(victim)
-		return done, nil
-	}
-	for i, s := range f.usedSegs {
-		if s == victim {
-			f.usedSegs = append(f.usedSegs[:i], f.usedSegs[i+1:]...)
-			break
-		}
-	}
-	f.acct.untrack(victim)
-	f.freeSegs = append(f.freeSegs, victim)
-	return done, nil
+	return done, err
 }

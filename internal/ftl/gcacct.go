@@ -10,11 +10,13 @@ package ftl
 // counter scan), instead of O(S × pages-per-segment) bitmap popcounts per
 // decision.
 //
-// Determinism: the old selectVictim scanned usedSegs oldest-first and kept
+// Determinism: the old selectVictim scanned UsedSegs oldest-first and kept
 // the first strict maximum. The heap reproduces that order by breaking
 // valid-count ties on a monotone insertion stamp; segments are tracked in
-// the order they enter usedSegs, and removals never reorder survivors, so
-// stamp order always equals usedSegs order.
+// the order they enter UsedSegs, and removals never reorder survivors, so
+// stamp order always equals UsedSegs order.
+
+import "iosnap/internal/logcore"
 
 // segCounter is one tracked (in-use) segment's heap entry.
 type segCounter struct {
@@ -40,7 +42,7 @@ func newGCAcct(f *FTL) *gcAcct {
 	}
 }
 
-// track registers a segment that just entered usedSegs.
+// track registers a segment that just entered UsedSegs.
 func (a *gcAcct) track(seg int) {
 	if a.bySeg[seg] != nil {
 		return
@@ -51,7 +53,7 @@ func (a *gcAcct) track(seg int) {
 	a.heapPush(e)
 }
 
-// untrack drops a segment that left usedSegs (erased or retired). Nil-safe:
+// untrack drops a segment that left UsedSegs (erased or retired). Nil-safe:
 // retirement may hit segments that were already in the free pool.
 func (a *gcAcct) untrack(seg int) {
 	e := a.bySeg[seg]
@@ -107,8 +109,8 @@ func (a *gcAcct) bestGreedy() *segCounter {
 		// cleaner copies but can never invalidate — reclaims nothing, burns
 		// an erase, and (picked repeatedly) would wedge the emergency-clean
 		// loop shuffling pins from segment to segment.
-		if top.seg == f.headSeg || top.seg == f.gcVictim ||
-			f.cfg.Nand.PagesPerSegment-a.valid[top.seg]-f.pinnedInSeg(top.seg) <= 0 {
+		if top.seg == f.HeadSeg || top.seg == f.gcVictim ||
+			f.cfg.Nand.PagesPerSegment-a.valid[top.seg]-f.PinnedInSeg(top.seg) <= 0 {
 			a.heapRemove(top)
 			parked = append(parked, top)
 			continue
@@ -122,23 +124,23 @@ func (a *gcAcct) bestGreedy() *segCounter {
 	return best
 }
 
-// bestCostBenefit scans usedSegs oldest-first with the classic LFS
+// bestCostBenefit scans UsedSegs oldest-first with the classic LFS
 // benefit/cost score over the cached counters. O(S), no bitmap walks.
 func (a *gcAcct) bestCostBenefit() *segCounter {
 	f := a.f
 	pps := f.cfg.Nand.PagesPerSegment
 	var best *segCounter
 	bestScore := -1.0
-	for _, seg := range f.usedSegs {
-		if seg == f.headSeg || seg == f.gcVictim {
+	for _, seg := range f.UsedSegs {
+		if seg == f.HeadSeg || seg == f.gcVictim {
 			continue
 		}
 		valid := a.valid[seg]
-		invalid := pps - valid - f.pinnedInSeg(seg)
+		invalid := pps - valid - f.PinnedInSeg(seg)
 		if invalid <= 0 {
 			continue
 		}
-		score := victimScore(VictimCostBenefit, invalid, valid, f.seq, f.segLastSeq[seg])
+		score := logcore.VictimScore(logcore.VictimCostBenefit, invalid, valid, f.Seq, f.SegLastSeq[seg])
 		if score > bestScore {
 			best, bestScore = a.bySeg[seg], score
 		}

@@ -113,7 +113,7 @@ func TestSuspectVictimRetiredAfterClean(t *testing.T) {
 	now = f.sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -130,7 +130,7 @@ func TestSuspectVictimRetiredAfterClean(t *testing.T) {
 	if h := f.dev.SegmentHealth(victim); h != nand.Retired {
 		t.Fatalf("cleaned suspect segment health = %v, want retired", h)
 	}
-	for _, s := range append(f.UsedSegments(), f.freeSegs...) {
+	for _, s := range append(f.UsedSegments(), f.FreeSegs...) {
 		if s == victim {
 			t.Fatal("retired segment still pooled")
 		}
@@ -165,7 +165,7 @@ func TestPermanentEraseFailureRetiresVictim(t *testing.T) {
 	now = f.sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -284,7 +284,7 @@ func TestRetiredSegmentSurvivesRecovery(t *testing.T) {
 	now = f.sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -303,12 +303,12 @@ func TestRetiredSegmentSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery with retired segment: %v", err)
 	}
-	for _, s := range append(f2.UsedSegments(), f2.freeSegs...) {
+	for _, s := range append(f2.UsedSegments(), f2.FreeSegs...) {
 		if s == victim {
 			t.Fatal("retired segment re-pooled by recovery")
 		}
 	}
-	if f2.headSeg == victim {
+	if f2.HeadSeg == victim {
 		t.Fatal("recovery resumed head on retired segment")
 	}
 	buf := make([]byte, ss)

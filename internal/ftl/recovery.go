@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"iosnap/internal/bitmap"
 	"iosnap/internal/ckpt"
 	"iosnap/internal/ftlmap"
 	"iosnap/internal/header"
@@ -76,28 +75,11 @@ func recoverFTL(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time
 	return f, now, nil
 }
 
-// recoverShell builds the empty FTL both recovery paths fill in.
-func recoverShell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
-	f := &FTL{
-		cfg:        cfg,
-		dev:        dev,
-		sched:      sched,
-		validity:   bitmap.New(cfg.Nand.TotalPages()),
-		gcVictim:   -1,
-		segLastSeq: make([]uint64, cfg.Nand.Segments),
-		ckptPins:   make(map[nand.PageAddr]bool),
-		mapPins:    make(map[nand.PageAddr]uint64),
-	}
-	f.fmap = f.newActiveMap()
-	f.acct = newGCAcct(f)
-	return f
-}
-
 // scanSegment reads one segment's OOB headers into the recovery
 // accumulators, counting torn pages instead of silently dropping them.
 func (f *FTL) scanSegment(now sim.Time, seg int, entries *[]scanEntry, chunks *[]ckptChunk,
 	segUsed []bool, segMaxSeq []uint64, maxSeq *uint64) (sim.Time, error) {
-	oobs, done, err := f.devScanSegmentOOB(now, seg)
+	oobs, done, err := f.DevScanSegmentOOB(now, seg)
 	if err != nil {
 		return now, fmt.Errorf("ftl: scanning segment %d: %w", seg, err)
 	}
@@ -139,7 +121,7 @@ func (f *FTL) scanSegment(now sim.Time, seg int, entries *[]scanEntry, chunks *[
 // headers, prefer the newest complete checkpoint found on the log, and
 // replay translations on top.
 func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, error) {
-	f := recoverShell(cfg, dev, sched)
+	f := shell(cfg, dev, sched)
 
 	var (
 		entries   []scanEntry
@@ -168,15 +150,12 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 			usedAny = usedAny || u
 		}
 		if !usedAny {
-			nf, err := New(cfg, sched)
-			if err != nil {
-				return nil, now, err
-			}
-			nf.dev = dev
+			nf := shell(cfg, dev, sched)
+			nf.Format()
 			return nf, now, nil
 		}
 	}
-	f.seq = maxSeq
+	f.Seq = maxSeq
 
 	// Prefer the newest complete checkpoint, then replay any data written
 	// after it (the device may have been reopened and written post-close).
@@ -212,7 +191,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 // point simply discards the partial state and reports ok=false.
 func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, bool) {
 	anchor := dev.Anchor()
-	f := recoverShell(cfg, dev, sched)
+	f := shell(cfg, dev, sched)
 
 	// Read and validate every chunk the anchor names.
 	payloads := make([][]byte, 0, len(anchor.Addrs))
@@ -226,7 +205,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 			if err != nil || h.Type != header.TypeCheckpoint {
 				return nil, now, false
 			}
-			payload, _, done, err := f.devReadPage(now, addr)
+			payload, _, done, err := f.DevReadPage(now, addr)
 			if err != nil {
 				return nil, now, false
 			}
@@ -235,7 +214,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 		}
 	} else {
 		// Batched anchor load: validate the chunk headers host-side, then
-		// fetch every payload in one devReadPages call (cell reads overlap
+		// fetch every payload in one DevReadPages call (cell reads overlap
 		// across channels instead of chaining).
 		for _, addr := range anchor.Addrs {
 			oob, err := dev.PageOOB(addr)
@@ -247,7 +226,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 				return nil, now, false
 			}
 		}
-		ds, _, k, done, err := f.devReadPages(now, anchor.Addrs)
+		ds, _, k, done, err := f.DevReadPages(now, anchor.Addrs)
 		now = done
 		if err != nil || k != len(anchor.Addrs) {
 			return nil, now, false
@@ -314,7 +293,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 			}
 		}
 	}
-	f.seq = maxSeq
+	f.Seq = maxSeq
 
 	f.loadMapEntries(mapEntries, gtdEnts)
 	if now, err = f.markValidFromGTD(now, gtdEnts); err != nil {
@@ -329,10 +308,10 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 	f.applyNewerEntries(newer)
 
 	// The anchor's chunks are live recovery state until superseded.
-	f.anchorID = anchor.ID
-	f.anchorAddrs = anchor.Addrs
+	f.AnchorID = anchor.ID
+	f.AnchorAddrs = anchor.Addrs
 	for _, a := range anchor.Addrs {
-		f.ckptPins[a] = true
+		f.CkptPins[a] = true
 	}
 
 	now, err = f.rebuildGeometry(now, segUsed, segMaxSeq)
@@ -346,57 +325,12 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 // rebuildGeometry reconstructs the segment pools and log head from the
 // per-segment summaries either recovery path produced.
 func (f *FTL) rebuildGeometry(now sim.Time, segUsed []bool, segMaxSeq []uint64) (sim.Time, error) {
-	cfg, dev := f.cfg, f.dev
-	type segOrder struct {
-		seg int
-		seq uint64
+	if err := f.RebuildGeometry(segUsed, segMaxSeq); err != nil {
+		return now, err
 	}
-	var used []segOrder
-	for seg := 0; seg < cfg.Nand.Segments; seg++ {
-		switch {
-		case dev.SegmentHealth(seg) == nand.Retired:
-			// Belongs to neither pool: a grown bad block stays out of service.
-		case segUsed[seg]:
-			used = append(used, segOrder{seg, segMaxSeq[seg]})
-		default:
-			f.freeSegs = append(f.freeSegs, seg)
-		}
-	}
-	sort.SliceStable(used, func(i, j int) bool { return used[i].seq < used[j].seq })
-	for _, u := range used {
-		f.usedSegs = append(f.usedSegs, u.seg)
-	}
-	copy(f.segLastSeq, segMaxSeq)
-
-	// The head resumes at the newest segment if it still has room — and is
-	// healthy; appending onto suspect media would repeat the failure that
-	// made it suspect.
-	if len(f.usedSegs) > 0 {
-		last := f.usedSegs[len(f.usedSegs)-1]
-		next := dev.NextFreeInSegment(last)
-		if next < cfg.Nand.PagesPerSegment && dev.SegmentHealth(last) == nand.Healthy {
-			f.headSeg, f.headIdx = last, next
-		} else {
-			if len(f.freeSegs) == 0 {
-				return now, ErrDeviceFull
-			}
-			f.headSeg = f.freeSegs[0]
-			f.freeSegs = f.freeSegs[1:]
-			f.headIdx = 0
-			f.usedSegs = append(f.usedSegs, f.headSeg)
-		}
-	} else {
-		if len(f.freeSegs) == 0 {
-			return now, ErrUnformatted
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-	}
-	// Track in usedSegs order so insertion stamps reproduce the oldest-first
+	// Track in UsedSegs order so insertion stamps reproduce the oldest-first
 	// tie-break of a scan-based selection.
-	for _, s := range f.usedSegs {
+	for _, s := range f.UsedSegs {
 		f.acct.track(s)
 	}
 	f.maybeScheduleGC(now)
@@ -413,7 +347,7 @@ func (f *FTL) loadMapEntries(pairs [][2]uint64, gtd []mapcache.GTDEnt) {
 		entries = append(entries, ftlmap.Entry{Key: p[0], Val: p[1]})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	f.fmap = f.recoveredMap(entries, gtd)
+	f.fmap = f.RecoveredMap(entries, gtd)
 	for _, e := range entries {
 		f.markValid(int64(e.Val))
 	}
@@ -433,7 +367,7 @@ func (f *FTL) markValidFromGTD(now sim.Time, gtd []mapcache.GTDEnt) (sim.Time, e
 	for i, ent := range gtd {
 		addrs[i] = nand.PageAddr(ent.Addr)
 	}
-	datas, _, k, done, err := f.devReadPages(now, addrs)
+	datas, _, k, done, err := f.DevReadPages(now, addrs)
 	if err != nil {
 		return done, fmt.Errorf("ftl: reading GTD translation page %d: %w", gtd[k].Idx, err)
 	}
@@ -481,7 +415,7 @@ func (f *FTL) loadCheckpoint(now sim.Time, chunks []ckptChunk) (bool, uint64, si
 	payloads := make([][]byte, len(chunks))
 	if f.cfg.ReferenceDataPath {
 		for i, c := range chunks {
-			payload, _, done, err := f.devReadPage(now, c.addr)
+			payload, _, done, err := f.DevReadPage(now, c.addr)
 			if err != nil {
 				// A vanishing chunk disqualifies only its generation.
 				continue
@@ -490,7 +424,7 @@ func (f *FTL) loadCheckpoint(now sim.Time, chunks []ckptChunk) (bool, uint64, si
 			payloads[i] = payload
 		}
 	} else {
-		// Batched chunk load: each devReadPages call reads as far as it can;
+		// Batched chunk load: each DevReadPages call reads as far as it can;
 		// a permanently failing chunk is skipped (it disqualifies only its
 		// generation) and the batch resumes just past it.
 		addrs := make([]nand.PageAddr, len(chunks))
@@ -499,7 +433,7 @@ func (f *FTL) loadCheckpoint(now sim.Time, chunks []ckptChunk) (bool, uint64, si
 		}
 		base := 0
 		for base < len(addrs) {
-			ds, _, k, done, err := f.devReadPages(now, addrs[base:])
+			ds, _, k, done, err := f.DevReadPages(now, addrs[base:])
 			now = done
 			copy(payloads[base:], ds[:k])
 			base += k
@@ -571,15 +505,15 @@ func (f *FTL) loadCheckpoint(now sim.Time, chunks []ckptChunk) (bool, uint64, si
 		}
 		// Re-pin and re-anchor the winning generation so the cleaner keeps
 		// honoring it after this reopen.
-		f.anchorID = id
-		f.anchorAddrs = nil
+		f.AnchorID = id
+		f.AnchorAddrs = nil
 		for i := uint64(0); i < total; i++ {
-			f.anchorAddrs = append(f.anchorAddrs, byIdx[i].addr)
+			f.AnchorAddrs = append(f.AnchorAddrs, byIdx[i].addr)
 		}
-		for _, a := range f.anchorAddrs {
-			f.ckptPins[a] = true
+		for _, a := range f.AnchorAddrs {
+			f.CkptPins[a] = true
 		}
-		f.dev.SetAnchor(&nand.Anchor{ID: id, Addrs: f.anchorAddrs})
+		f.dev.SetAnchor(&nand.Anchor{ID: id, Addrs: f.AnchorAddrs})
 		return true, ckptSeq, now, nil
 	}
 	return false, 0, now, nil

@@ -3,47 +3,48 @@ package ftl
 import (
 	"testing"
 
+	"iosnap/internal/logcore"
 	"iosnap/internal/sim"
 )
 
 func TestVictimScoreGreedy(t *testing.T) {
 	// Greedy: score is the invalid count, age-independent.
-	if victimScore(VictimGreedy, 10, 6, 100, 50) != 10 {
+	if logcore.VictimScore(logcore.VictimGreedy, 10, 6, 100, 50) != 10 {
 		t.Fatal("greedy score wrong")
 	}
-	if victimScore(VictimGreedy, 10, 6, 100, 99) != 10 {
+	if logcore.VictimScore(logcore.VictimGreedy, 10, 6, 100, 99) != 10 {
 		t.Fatal("greedy must ignore age")
 	}
 }
 
 func TestVictimScoreCostBenefit(t *testing.T) {
 	// Equal utilization: the older segment must score higher.
-	oldSeg := victimScore(VictimCostBenefit, 8, 8, 1000, 100)
-	newSeg := victimScore(VictimCostBenefit, 8, 8, 1000, 900)
+	oldSeg := logcore.VictimScore(logcore.VictimCostBenefit, 8, 8, 1000, 100)
+	newSeg := logcore.VictimScore(logcore.VictimCostBenefit, 8, 8, 1000, 900)
 	if oldSeg <= newSeg {
 		t.Fatalf("cost-benefit should prefer older: old=%v new=%v", oldSeg, newSeg)
 	}
 	// Equal age: the emptier segment must score higher.
-	empty := victimScore(VictimCostBenefit, 12, 4, 1000, 500)
-	full := victimScore(VictimCostBenefit, 4, 12, 1000, 500)
+	empty := logcore.VictimScore(logcore.VictimCostBenefit, 12, 4, 1000, 500)
+	full := logcore.VictimScore(logcore.VictimCostBenefit, 4, 12, 1000, 500)
 	if empty <= full {
 		t.Fatalf("cost-benefit should prefer emptier: %v vs %v", empty, full)
 	}
 	// Fully valid segments score zero.
-	if victimScore(VictimCostBenefit, 0, 16, 1000, 1) != 0 {
+	if logcore.VictimScore(logcore.VictimCostBenefit, 0, 16, 1000, 1) != 0 {
 		t.Fatal("fully valid segment should score 0")
 	}
 }
 
 func TestVictimPolicyString(t *testing.T) {
-	if VictimGreedy.String() != "greedy" || VictimCostBenefit.String() != "cost-benefit" {
+	if logcore.VictimGreedy.String() != "greedy" || logcore.VictimCostBenefit.String() != "cost-benefit" {
 		t.Fatal("policy names wrong")
 	}
 }
 
 func TestCostBenefitCleanerPreservesData(t *testing.T) {
 	cfg := testConfig()
-	cfg.VictimPolicy = VictimCostBenefit
+	cfg.VictimPolicy = logcore.VictimCostBenefit
 	f, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestCostBenefitSegregatesColdData(t *testing.T) {
 	// A hot/cold split workload: cost-benefit should not copy cold data
 	// more often than greedy does (the LFS argument). We assert it at
 	// least keeps write amplification in the same ballpark and cleans.
-	run := func(p VictimPolicy) float64 {
+	run := func(p logcore.VictimPolicy) float64 {
 		cfg := testConfig()
 		cfg.VictimPolicy = p
 		f, err := New(cfg, nil)
@@ -95,8 +96,8 @@ func TestCostBenefitSegregatesColdData(t *testing.T) {
 		f.Scheduler().Drain(now)
 		return f.Stats().WriteAmplify
 	}
-	greedy := run(VictimGreedy)
-	cb := run(VictimCostBenefit)
+	greedy := run(logcore.VictimGreedy)
+	cb := run(logcore.VictimCostBenefit)
 	if cb > greedy*1.5 {
 		t.Fatalf("cost-benefit WA %.2f much worse than greedy %.2f", cb, greedy)
 	}

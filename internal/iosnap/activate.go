@@ -76,7 +76,7 @@ func (vw *View) CreateSnapshot(now sim.Time) (*Snapshot, sim.Time, error) {
 	if !vw.v.writable {
 		return nil, now, ErrReadOnlyView
 	}
-	return vw.f.createSnapshotFrom(vw.v, now)
+	return vw.f.createSnapshotFrom(vw.v, now, vw.f.tree.nextID)
 }
 
 // Deactivate releases the view: a note records the action, the view's map
@@ -214,7 +214,7 @@ func (f *FTL) ActivateSync(now sim.Time, id SnapshotID, limit ratelimit.WorkSlee
 }
 
 func (f *FTL) beginActivation(now sim.Time, id SnapshotID, limit ratelimit.WorkSleep, writable bool) (*Activation, sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return nil, now, ErrClosed
 	}
 	snap, ok := f.tree.Lookup(id)
@@ -287,7 +287,7 @@ func (a *Activation) Run(now sim.Time) (sim.Time, bool) {
 			seg := a.scanList[a.segCursor]
 			a.segCursor++
 			start := now
-			oobs, done, err := f.devScanSegmentOOB(now, seg)
+			oobs, done, err := f.DevScanSegmentOOB(now, seg)
 			if err != nil {
 				return a.fail(now, fmt.Errorf("iosnap: activation scan of segment %d: %w", seg, err))
 			}

@@ -7,10 +7,9 @@ import (
 	"iosnap/internal/bitmap"
 	"iosnap/internal/ckpt"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
-	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -31,7 +30,7 @@ import (
 // chunk count (Epoch field). The device anchor — updated atomically only at
 // commit, like a checkpoint pack — names every chunk of the committed
 // generation, and those pages are pinned so the cleaner copies them forward
-// instead of reclaiming them. ckptID = ckptSeq = f.seq at serialization:
+// instead of reclaiming them. ckptID = ckptSeq = f.Seq at serialization:
 // recovery bulk-loads the checkpoint and replays only records newer than
 // the cut-off, falling back to the full scan whenever anything about the
 // generation cannot be proven intact.
@@ -84,15 +83,6 @@ type ckptTreeState struct {
 	table   []ckptSegRec
 }
 
-// ckptChunkJob is one chunk awaiting its program, with the stream identity
-// its OOB header must carry.
-type ckptChunkJob struct {
-	typ   header.Type
-	data  []byte
-	idx   int
-	total int
-}
-
 // ckptEpochDies reports whether epoch e, live right now, would be dead
 // after a crash: full-scan recovery deletes the epoch of every activation
 // that never froze into a snapshot. Serializing such epochs as deleted
@@ -111,17 +101,18 @@ func (f *FTL) ckptEpochDies(e bitmap.Epoch) bool {
 	return false
 }
 
-// serializeCheckpoint captures the three streams at one instant and returns
-// the checkpoint identity plus every chunk to program.
-func (f *FTL) serializeCheckpoint() (uint64, []ckptChunkJob, error) {
-	ckptID := f.seq
+// SerializeCheckpoint implements logcore.Policy: it captures the three
+// streams at one instant and returns the checkpoint identity plus every
+// chunk to program.
+func (f *FTL) SerializeCheckpoint() (uint64, []logcore.Chunk, error) {
+	ckptID := f.Seq
 
 	// Stream 1: the active forward map. Tree and cache-unbounded maps
 	// serialize the full mapping list (byte-identical between the two —
 	// the unbounded equivalence contract). A bounded paged map serializes
 	// only the GTD: every dirty translation page was flushed before this
-	// point (writeCheckpoint / ckptTask call flushAllMapPages first), so
-	// the directory's flash copies are current.
+	// point (the log core flushes before serializing), so the directory's
+	// flash copies are current.
 	var mw ckpt.Writer
 	mapKind := uint8(ckptSecMap)
 	if c := f.pagedActive(); c != nil && c.Bounded() {
@@ -164,12 +155,12 @@ func (f *FTL) serializeCheckpoint() (uint64, []ckptChunkJob, error) {
 		tw.Bool(s.Deleted)
 		tw.U64(uint64(s.noteAddr))
 	}
-	tw.U32(uint32(len(f.usedSegs)))
-	for _, s := range f.usedSegs {
+	tw.U32(uint32(len(f.UsedSegs)))
+	for _, s := range f.UsedSegs {
 		tw.U32(uint32(s))
 		tw.U32(uint32(f.dev.EraseCount(s)))
 		tw.U32(uint32(f.dev.NextFreeInSegment(s)))
-		tw.U64(f.segLastSeq[s])
+		tw.U64(f.SegLastSeq[s])
 		eps := make([]bitmap.Epoch, 0, f.presence.count(s))
 		for e := range f.presence.segs[s] {
 			eps = append(eps, e)
@@ -206,7 +197,7 @@ func (f *FTL) serializeCheckpoint() (uint64, []ckptChunkJob, error) {
 		}
 	}
 
-	var jobs []ckptChunkJob
+	var jobs []logcore.Chunk
 	for _, st := range []struct {
 		typ  header.Type
 		kind uint8
@@ -222,279 +213,39 @@ func (f *FTL) serializeCheckpoint() (uint64, []ckptChunkJob, error) {
 			return 0, nil, fmt.Errorf("iosnap: chunking %v stream: %w", st.typ, err)
 		}
 		for i, c := range chunks {
-			jobs = append(jobs, ckptChunkJob{typ: st.typ, data: c, idx: i, total: len(chunks)})
+			jobs = append(jobs, logcore.Chunk{Type: st.typ, Data: c, Idx: i, Total: len(chunks)})
 		}
 	}
 	return ckptID, jobs, nil
 }
 
-// programCkptChunk appends one chunk at the log head and pins it against
-// the cleaner. Chunk pages are never validity-marked — they are consumed at
-// recovery, not translated — so the pin is their only protection. A failed
-// program rolls back the allocation and seals the head on permanent media
-// failure, like every other program path.
-func (f *FTL) programCkptChunk(now sim.Time, job ckptChunkJob) (nand.PageAddr, sim.Time, error) {
-	addr, now, err := f.allocPage(now)
-	if err != nil {
-		return 0, now, fmt.Errorf("iosnap: allocating checkpoint page: %w", err)
-	}
-	f.seq++
-	h := header.Header{Type: job.typ, LBA: uint64(job.idx), Epoch: uint64(job.total), Seq: f.seq}
-	done, err := f.devProgramPage(now, addr, job.data, h.Marshal())
-	if err != nil {
-		f.ungetPage(addr)
-		if retry.MediaFailure(err) {
-			f.sealHead()
-		}
-		return 0, now, fmt.Errorf("iosnap: writing %v chunk %d: %w", job.typ, job.idx, err)
-	}
-	f.segLastSeq[f.dev.SegmentOf(addr)] = f.seq
-	f.ckptPins[addr] = true
-	return addr, done, nil
-}
-
-// commitCheckpoint atomically publishes a fully-programmed generation: the
-// device anchor flips and the superseded generation's pins drop.
-func (f *FTL) commitCheckpoint(now sim.Time, ckptID uint64, addrs []nand.PageAddr) {
-	for _, a := range f.anchorAddrs {
-		delete(f.ckptPins, a)
-	}
-	f.anchorID = ckptID
-	f.anchorAddrs = addrs
-	f.dev.SetAnchor(&nand.Anchor{ID: ckptID, Addrs: addrs})
-	f.lastCkpt = now
-	f.stats.Checkpoints++
-	f.stats.CheckpointChunks += int64(len(addrs))
-}
-
-// movePin follows a copy-forwarded chunk: the pin moves with the page and
-// whichever list names it — the committed anchor or the in-flight chunk
-// list — is updated in place. A moved anchor chunk republishes the device
-// anchor so recovery still finds every chunk.
-func (f *FTL) movePin(old, dst nand.PageAddr) {
-	delete(f.ckptPins, old)
-	f.ckptPins[dst] = true
-	for i, a := range f.anchorAddrs {
-		if a == old {
-			f.anchorAddrs[i] = dst
-			f.dev.SetAnchor(&nand.Anchor{ID: f.anchorID, Addrs: f.anchorAddrs})
-			return
-		}
-	}
-	for i, a := range f.ckptInflight {
-		if a == old {
-			f.ckptInflight[i] = dst
-			return
-		}
-	}
-}
-
-// abortCheckpoint unpins a partial generation; the previous anchor stays.
-func (f *FTL) abortCheckpoint(addrs []nand.PageAddr, err error) {
-	for _, a := range addrs {
-		delete(f.ckptPins, a)
-	}
-	f.stats.CheckpointErrors++
-	f.stats.CheckpointLastErr = err.Error()
-}
-
-// writeCheckpoint synchronously serializes and programs a checkpoint (the
-// Close path).
-func (f *FTL) writeCheckpoint(now sim.Time) (sim.Time, error) {
-	// ckptActive guards the whole sequence: the map flushes below advance
-	// the log head, which must not arm a second (background) checkpoint.
-	f.ckptActive = true
-	defer func() { f.ckptActive = false }()
-	if c := f.pagedActive(); c != nil && c.Bounded() {
-		var err error
-		if now, err = f.flushAllMapPages(now, c); err != nil {
-			f.stats.CheckpointErrors++
-			f.stats.CheckpointLastErr = err.Error()
-			return now, err
-		}
-	}
-	ckptID, jobs, err := f.serializeCheckpoint()
-	if err != nil {
-		f.stats.CheckpointErrors++
-		f.stats.CheckpointLastErr = err.Error()
-		return now, err
-	}
-	var addrs []nand.PageAddr
-	for _, job := range jobs {
-		var addr nand.PageAddr
-		addr, now, err = f.programCkptChunk(now, job)
-		if err != nil {
-			f.abortCheckpoint(addrs, err)
-			return now, err
-		}
-		addrs = append(addrs, addr)
-	}
-	f.commitCheckpoint(now, ckptID, addrs)
-	return now, nil
-}
-
-// maybeScheduleCheckpoint arms the periodic background checkpoint from the
-// head-advance path, the same way the cleaner and scrubber are armed.
-func (f *FTL) maybeScheduleCheckpoint(now sim.Time) {
-	if f.ckptActive || f.closed || f.cfg.CheckpointInterval <= 0 || !f.cfg.Nand.StoreData {
-		return
-	}
-	if now.Sub(f.lastCkpt) < f.cfg.CheckpointInterval {
-		return
-	}
-	f.startCheckpoint(now)
-}
-
 // StartCheckpoint forces a background checkpoint now (tests and tools). It
 // reports whether a task was scheduled.
 func (f *FTL) StartCheckpoint(now sim.Time) bool {
-	if f.ckptActive || f.closed || !f.cfg.Nand.StoreData {
+	if !f.cfg.Nand.StoreData {
 		return false
 	}
-	return f.startCheckpoint(now)
+	return f.Log.StartCheckpoint(now, f.active.fmap)
 }
 
 // CheckpointActive reports whether a checkpoint is being written.
-func (f *FTL) CheckpointActive() bool { return f.ckptActive }
-
-func (f *FTL) startCheckpoint(now sim.Time) bool {
-	if c := f.pagedActive(); c != nil && c.Bounded() {
-		// A bounded paged map must flush every dirty translation page before
-		// serializing, and flushing programs through the log head — which
-		// cannot happen here: startCheckpoint fires from the head-advance
-		// path, possibly mid-program under SequentialProg. Defer both the
-		// flush and the serialization to the task's first run.
-		f.ckptActive = true
-		f.ckptInflight = nil
-		f.sched.Schedule(now, &ckptTask{
-			f:       f,
-			pending: true,
-			budget:  ratelimit.NewBudget(f.cfg.CheckpointLimit),
-		})
-		return true
-	}
-	ckptID, jobs, err := f.serializeCheckpoint()
-	if err != nil {
-		f.stats.CheckpointErrors++
-		f.stats.CheckpointLastErr = err.Error()
-		return false
-	}
-	f.ckptActive = true
-	f.ckptInflight = nil
-	f.sched.Schedule(now, &ckptTask{
-		f:      f,
-		id:     ckptID,
-		jobs:   jobs,
-		budget: ratelimit.NewBudget(f.cfg.CheckpointLimit),
-	})
-	return true
-}
-
-// ckptTask programs a serialized generation's chunks under the WorkSleep
-// budget. The streams were captured at scheduling time, so foreground
-// writes that land between quanta carry seq > ckptSeq and are replayed on
-// top at recovery — the checkpoint stays consistent without stalling
-// writers.
-type ckptTask struct {
-	f       *FTL
-	id      uint64
-	jobs    []ckptChunkJob
-	next    int
-	pending bool // bounded-paged mode: flush + serialize on first run
-	budget  *ratelimit.Budget
-}
-
-// Name implements sim.Task.
-func (t *ckptTask) Name() string { return fmt.Sprintf("iosnap-checkpoint(%d)", t.id) }
-
-// Run implements sim.Task: one budgeted batch of chunk programs.
-func (t *ckptTask) Run(now sim.Time) (sim.Time, bool) {
-	f := t.f
-	if f.closed {
-		// Close wrote its own synchronous checkpoint, superseding this one.
-		for _, a := range f.ckptInflight {
-			delete(f.ckptPins, a)
-		}
-		f.ckptInflight = nil
-		f.ckptActive = false
-		return 0, true
-	}
-	if t.pending {
-		var err error
-		if c := f.pagedActive(); c != nil && c.Bounded() {
-			now, err = f.flushAllMapPages(now, c)
-		}
-		if err == nil {
-			t.id, t.jobs, err = f.serializeCheckpoint()
-		}
-		if err != nil {
-			f.stats.CheckpointErrors++
-			f.stats.CheckpointLastErr = err.Error()
-			f.ckptActive = false
-			return 0, true
-		}
-		t.pending = false
-	}
-	start := now
-	for programmed := 0; t.next < len(t.jobs) && programmed < f.cfg.GCChunk; programmed++ {
-		addr, done, err := f.programCkptChunk(now, t.jobs[t.next])
-		if err != nil {
-			f.abortCheckpoint(f.ckptInflight, err)
-			f.ckptInflight = nil
-			f.ckptActive = false
-			return 0, true
-		}
-		f.ckptInflight = append(f.ckptInflight, addr)
-		t.next++
-		now = done
-	}
-	if t.next < len(t.jobs) {
-		if sleep, exhausted := t.budget.Charge(now.Sub(start)); exhausted {
-			return now.Add(sleep), false
-		}
-		return now, false
-	}
-	f.commitCheckpoint(now, t.id, f.ckptInflight)
-	f.ckptInflight = nil
-	f.ckptActive = false
-	return 0, true
-}
+func (f *FTL) CheckpointActive() bool { return f.CkptActive }
 
 // orPinsInto overlays the victim's pinned pages — checkpoint chunks and
 // live GTD-referenced translation pages — onto its merged validity clone
 // so the cleaner's copy order visits them: both are valid in no epoch,
 // but both must survive cleaning.
 func (f *FTL) orPinsInto(victim int, merged *bitmap.Bitmap) {
-	for a := range f.ckptPins {
+	for a := range f.CkptPins {
 		if f.dev.SegmentOf(a) == victim {
 			merged.Set(int64(f.dev.PageIndexOf(a)))
 		}
 	}
-	for a := range f.mapPins {
+	for a := range f.MapPins {
 		if f.dev.SegmentOf(a) == victim {
 			merged.Set(int64(f.dev.PageIndexOf(a)))
 		}
 	}
-}
-
-// pinnedInSeg counts pinned pages (checkpoint chunks and translation
-// pages) in seg. Victim scoring must treat them as live: a segment full
-// of pinned pages has zero valid bits yet cleaning it reclaims nothing —
-// picking it anyway would let the emergency-clean loop churn forever
-// moving pins from segment to segment.
-func (f *FTL) pinnedInSeg(seg int) int {
-	n := 0
-	for a := range f.ckptPins {
-		if f.dev.SegmentOf(a) == seg {
-			n++
-		}
-	}
-	for a := range f.mapPins {
-		if f.dev.SegmentOf(a) == seg {
-			n++
-		}
-	}
-	return n
 }
 
 // ---- Decode helpers (recovery side). ----

@@ -296,7 +296,7 @@ func TestCheckpointChunksSurviveGC(t *testing.T) {
 		t.Fatal("StartCheckpoint refused")
 	}
 	s.now = f.sched.Drain(s.now)
-	before := append([]nand.PageAddr(nil), f.anchorAddrs...)
+	before := append([]nand.PageAddr(nil), f.AnchorAddrs...)
 	if len(before) == 0 {
 		t.Fatal("no committed checkpoint")
 	}
@@ -307,9 +307,9 @@ func TestCheckpointChunksSurviveGC(t *testing.T) {
 	cleaned := make(map[int]bool)
 	for {
 		target := -1
-		for _, addr := range f.anchorAddrs {
+		for _, addr := range f.AnchorAddrs {
 			seg := f.dev.SegmentOf(addr)
-			if seg != f.headSeg && !cleaned[seg] {
+			if seg != f.HeadSeg && !cleaned[seg] {
 				target = seg
 				break
 			}
@@ -433,7 +433,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	s := runScenario(t, 19, 200)
 	f := s.f
-	oldHead := f.headSeg
+	oldHead := f.HeadSeg
 	plan := faultinject.NewPlan(0, faultinject.Rule{
 		Kind: faultinject.KindTransient, Op: nand.OpProgram, Seg: faultinject.AnySeg,
 		AfterN: 1, Times: 10, // outlasts the retry budget: a permanent failure
@@ -454,7 +454,7 @@ func TestCheckpointChunkFailureSealsHead(t *testing.T) {
 	if f.Device().Anchor() != nil {
 		t.Fatal("aborted checkpoint left an anchor")
 	}
-	if f.headSeg == oldHead {
+	if f.HeadSeg == oldHead {
 		t.Fatal("head not sealed off the failing segment")
 	}
 	if err := f.CheckInvariants(); err != nil {

@@ -13,23 +13,16 @@ import (
 // continues. The work estimate (and hence pacing) follows the configured
 // GCPolicy. Use CleaningActive to observe completion.
 func (f *FTL) ForceClean(now sim.Time, seg int) error {
-	if f.closed {
+	if f.Closed {
 		return ErrClosed
 	}
 	if f.gcActive {
 		return fmt.Errorf("iosnap: cleaner already active")
 	}
-	if seg < 0 || seg >= f.cfg.Nand.Segments || seg == f.headSeg {
+	if seg < 0 || seg >= f.cfg.Nand.Segments || seg == f.HeadSeg {
 		return fmt.Errorf("iosnap: segment %d not cleanable", seg)
 	}
-	found := false
-	for _, s := range f.usedSegs {
-		if s == seg {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !f.InUse(seg) {
 		return fmt.Errorf("iosnap: segment %d not in use", seg)
 	}
 	pps := int64(f.cfg.Nand.PagesPerSegment)
@@ -62,7 +55,7 @@ func (f *FTL) CleaningActive() bool { return f.gcActive }
 
 // UsedSegments returns the segments currently holding data, oldest first
 // (the log head is last).
-func (f *FTL) UsedSegments() []int { return append([]int(nil), f.usedSegs...) }
+func (f *FTL) UsedSegments() []int { return append([]int(nil), f.UsedSegs...) }
 
 // CountValidActive counts active-epoch-valid blocks in [lo, hi) physical
 // pages (experiment/diagnostic hook).

@@ -52,7 +52,7 @@ func TestForceCleanErrors(t *testing.T) {
 	f := newTestFTL(t)
 	now := sim.Time(0)
 	now, _ = f.Write(now, 0, sectorPattern(f.SectorSize(), 0, 1))
-	if err := f.ForceClean(now, f.headSeg); err == nil {
+	if err := f.ForceClean(now, f.HeadSeg); err == nil {
 		t.Fatal("cleaning the log head accepted")
 	}
 	if err := f.ForceClean(now, -1); err == nil {
@@ -62,7 +62,7 @@ func TestForceCleanErrors(t *testing.T) {
 		t.Fatal("out-of-range segment accepted")
 	}
 	// A free (unused) segment is rejected.
-	free := f.freeSegs[0]
+	free := f.FreeSegs[0]
 	if err := f.ForceClean(now, free); err == nil {
 		t.Fatal("unused segment accepted")
 	}

@@ -17,7 +17,7 @@ var ErrFrozen = errors.New("iosnap: device frozen")
 // writable views — fail with ErrFrozen; reads and snapshot operations
 // proceed.
 func (f *FTL) Freeze(now sim.Time) (sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return now, ErrClosed
 	}
 	f.frozen = true
@@ -26,7 +26,7 @@ func (f *FTL) Freeze(now sim.Time) (sim.Time, error) {
 
 // Unfreeze resumes the write path.
 func (f *FTL) Unfreeze(now sim.Time) (sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return now, ErrClosed
 	}
 	f.frozen = false

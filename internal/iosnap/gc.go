@@ -6,9 +6,9 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -59,7 +59,7 @@ func (f *FTL) selectVictim() (victim, mergedValid, activeValid int, cost sim.Dur
 		f.stats.GCCacheHits++
 	}
 	var e *segAcct
-	if f.cfg.VictimPolicy == VictimCostBenefit {
+	if f.cfg.VictimPolicy == logcore.VictimCostBenefit {
 		e = f.acct.bestCostBenefit()
 	} else {
 		e = f.acct.bestGreedy()
@@ -81,53 +81,22 @@ func (f *FTL) selectVictimScratch() (victim, mergedValid int) {
 	best := -1
 	bestScore := -1.0
 	bestMerged := 0
-	for _, seg := range f.usedSegs {
-		if seg == f.headSeg || seg == f.gcVictim {
+	for _, seg := range f.UsedSegs {
+		if seg == f.HeadSeg || seg == f.gcVictim {
 			continue
 		}
 		merged, _ := f.mergeSegment(seg)
 		mv := merged.Count()
-		invalid := int(pps) - mv - f.pinnedInSeg(seg)
+		invalid := int(pps) - mv - f.PinnedInSeg(seg)
 		if invalid <= 0 {
 			continue
 		}
-		score := victimScore(f.cfg.VictimPolicy, invalid, mv, f.seq, f.segLastSeq[seg])
+		score := logcore.VictimScore(f.cfg.VictimPolicy, invalid, mv, f.Seq, f.SegLastSeq[seg])
 		if score > bestScore {
 			best, bestScore, bestMerged = seg, score, mv
 		}
 	}
 	return best, bestMerged
-}
-
-// VictimPolicy selects the cleaner's segment-choice heuristic.
-type VictimPolicy int
-
-const (
-	// VictimGreedy picks the segment with the most merged-invalid blocks.
-	VictimGreedy VictimPolicy = iota
-	// VictimCostBenefit weighs reclaimable space by block age (the classic
-	// LFS benefit/cost heuristic). With snapshots present this tends to
-	// segregate cold, pinned data — the co-location goal of §5.4.2.
-	VictimCostBenefit
-)
-
-func (p VictimPolicy) String() string {
-	if p == VictimCostBenefit {
-		return "cost-benefit"
-	}
-	return "greedy"
-}
-
-// victimScore rates a candidate segment; higher is better.
-func victimScore(policy VictimPolicy, invalid, valid int, curSeq, segSeq uint64) float64 {
-	switch policy {
-	case VictimCostBenefit:
-		u := float64(valid) / float64(valid+invalid)
-		age := float64(curSeq - segSeq)
-		return (1 - u) * age / (1 + u)
-	default:
-		return float64(invalid)
-	}
 }
 
 // releaseGCGate returns a background clean's budget token, if a gate is
@@ -142,7 +111,7 @@ func (f *FTL) releaseGCGate() {
 // GCGate configured, a clean only starts when the shared budget grants a
 // token; a denied shard retries on its next head advance.
 func (f *FTL) maybeScheduleGC(now sim.Time) {
-	if f.gcActive || f.closed || len(f.freeSegs) > f.cfg.ReserveSegments {
+	if f.gcActive || f.Closed || len(f.FreeSegs) > f.cfg.ReserveSegments {
 		return
 	}
 	if f.cfg.GCGate != nil && !f.cfg.GCGate.TryAcquire() {
@@ -203,7 +172,7 @@ func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 		// Abort, but leave the victim cleanable: blocks already moved had
 		// their validity bits and translations re-pointed one by one, the
 		// failed destination page was rolled back by copyForward, and the
-		// victim stays in usedSegs for a later clean to re-select. Record
+		// victim stays in UsedSegs for a later clean to re-select. Record
 		// the error instead of dropping it on the floor.
 		t.abort(err)
 		return 0, true
@@ -223,7 +192,7 @@ func (t *gcTask) Run(now sim.Time) (sim.Time, bool) {
 	f.gcVictim = -1
 	f.releaseGCGate()
 	if err != nil {
-		// Erase failed: finishClean left the victim in usedSegs and its
+		// Erase failed: finishClean left the victim in UsedSegs and its
 		// remaining valid blocks untouched, so the device is consistent.
 		f.stats.GCErrors++
 		f.stats.GCLastErr = err.Error()
@@ -279,10 +248,11 @@ func (f *FTL) copyOrder(victim int, merged *bitmap.Bitmap) []int {
 	return out
 }
 
-// cleanOnce synchronously cleans the best victim (forced path). Selection
-// already leaves the victim's merged map cached and fresh, so the clean
-// reuses it instead of merging (and charging) a second time.
-func (f *FTL) cleanOnce(now sim.Time, forced bool) (sim.Time, error) {
+// CleanOnce implements logcore.Policy: it synchronously cleans the best
+// victim (forced path). Selection already leaves the victim's merged map
+// cached and fresh, so the clean reuses it instead of merging (and
+// charging) a second time.
+func (f *FTL) CleanOnce(now sim.Time, forced bool) (sim.Time, error) {
 	victim, _, _, cost := f.selectVictim()
 	f.stats.GCMergeTime += cost
 	now = now.Add(cost)
@@ -344,37 +314,36 @@ func (f *FTL) copyForward(now sim.Time, victim int, merged *bitmap.Bitmap, order
 			idx := order[cursor]
 			cursor++
 			old := f.dev.Addr(victim, idx)
-			dst, _, err := f.allocPageGC(submit)
+			dst, _, err := f.AllocPageGC(submit)
 			if err != nil {
 				planErr = err
 				break
 			}
 			oob, err := f.dev.PageOOB(old)
 			if err != nil {
-				f.ungetPage(dst)
+				f.UngetPage(dst)
 				planErr = fmt.Errorf("iosnap: cleaner reading header: %w", err)
 				break
 			}
 			h, err := header.Unmarshal(oob)
 			if err != nil {
-				f.ungetPage(dst)
+				f.UngetPage(dst)
 				planErr = fmt.Errorf("iosnap: cleaner decoding header: %w", err)
 				break
 			}
 			froms = append(froms, old)
 			tos = append(tos, dst)
 			hs = append(hs, h)
-			_, mapPinned := f.mapPins[old]
-			pins = append(pins, f.ckptPins[old] || mapPinned)
+			pins = append(pins, f.Pinned(old))
 			if len(froms) == 1 {
 				// Confine the batch to the current head segment so a
 				// mid-batch failure rolls back with a plain headIdx walk.
-				if r := 1 + pps - f.headIdx; r < room {
+				if r := 1 + pps - f.HeadIdx; r < room {
 					room = r
 				}
 			}
 		}
-		n, d, copyErr := f.devCopyPages(submit, froms, tos)
+		n, d, copyErr := f.DevCopyPages(submit, froms, tos)
 		if d > maxDone {
 			maxDone = d
 		}
@@ -385,11 +354,11 @@ func (f *FTL) copyForward(now sim.Time, victim int, merged *bitmap.Bitmap, order
 		if copyErr != nil {
 			// Hand back the destinations that were planned but never
 			// attempted, then the failing page's own (which may have landed
-			// after all — ungetPage checks). The cursor resumes just past
+			// after all — UngetPage checks). The cursor resumes just past
 			// the failing entry in order, exactly as the per-page loop would.
 			unattempted := len(tos) - n - 1
-			f.headIdx -= unattempted
-			f.ungetPage(tos[n])
+			f.HeadIdx -= unattempted
+			f.UngetPage(tos[n])
 			cursor -= unattempted
 			return cursor, maxDone, fmt.Errorf("iosnap: copy-forward: %w", copyErr)
 		}
@@ -413,26 +382,25 @@ func (f *FTL) copyForwardRef(now sim.Time, victim int, merged *bitmap.Bitmap, or
 		idx := order[cursor]
 		cursor++
 		old := f.dev.Addr(victim, idx)
-		dst, t, err := f.allocPageGC(submit)
+		dst, t, err := f.AllocPageGC(submit)
 		if err != nil {
 			return cursor, maxDone, err
 		}
 		_ = t
 		oob, err := f.dev.PageOOB(old)
 		if err != nil {
-			f.ungetPage(dst)
+			f.UngetPage(dst)
 			return cursor, maxDone, fmt.Errorf("iosnap: cleaner reading header: %w", err)
 		}
 		h, err := header.Unmarshal(oob)
 		if err != nil {
-			f.ungetPage(dst)
+			f.UngetPage(dst)
 			return cursor, maxDone, fmt.Errorf("iosnap: cleaner decoding header: %w", err)
 		}
-		_, mapPinned := f.mapPins[old]
-		pinned := f.ckptPins[old] || mapPinned
-		done, err := f.devCopyPage(submit, old, dst)
+		pinned := f.Pinned(old)
+		done, err := f.DevCopyPage(submit, old, dst)
 		if err != nil {
-			f.ungetPage(dst)
+			f.UngetPage(dst)
 			return cursor, maxDone, fmt.Errorf("iosnap: copy-forward: %w", err)
 		}
 		if done > maxDone {
@@ -452,8 +420,8 @@ func (f *FTL) gcFixup(victim int, old, dst nand.PageAddr, h header.Header, pinne
 	// The destination inherits the block's age (its original seq), so
 	// segments holding cold data still look old to cost-benefit.
 	dseg := f.dev.SegmentOf(dst)
-	if h.Seq > f.segLastSeq[dseg] {
-		f.segLastSeq[dseg] = h.Seq
+	if h.Seq > f.SegLastSeq[dseg] {
+		f.SegLastSeq[dseg] = h.Seq
 	}
 	// Checkpoint chunks carry chunk geometry in the Epoch field, not an
 	// epoch, and translation pages are valid in no epoch: neither
@@ -463,11 +431,7 @@ func (f *FTL) gcFixup(victim int, old, dst nand.PageAddr, h header.Header, pinne
 		f.presence.add(dseg, bitmap.Epoch(h.Epoch))
 	}
 	if pinned {
-		if h.Type == header.TypeMapPage {
-			f.moveMapPin(old, dst)
-		} else {
-			f.movePin(old, dst)
-		}
+		f.MovePin(old, dst, h, f.pagedActive())
 	}
 
 	// Step 3: re-point every live epoch that saw the old block. In the
@@ -527,36 +491,16 @@ func (f *FTL) gcFixup(victim int, old, dst nand.PageAddr, h header.Header, pinne
 	}
 }
 
-// finishClean erases the victim and returns it to the pool — or retires it.
-// By this point every block valid in ANY live epoch has been copied off
-// (copy-forward runs under the merged validity map), so a permanently
-// failing or suspect victim can leave service without losing a byte of any
-// snapshot; returning it to the pool would just let the next writer trip
-// over the same dying segment.
+// finishClean erases the cleaned victim and returns it to the pool, or
+// retires it (logcore.ReclaimSegment). By this point every block valid in
+// ANY live epoch has been copied off (copy-forward runs under the merged
+// validity map), so a retired victim loses no byte of any snapshot.
 func (f *FTL) finishClean(now sim.Time, victim int) (sim.Time, error) {
-	done, err := f.devEraseSegment(now, victim)
-	if err != nil {
-		if retry.MediaFailure(err) {
-			f.retireSegment(victim)
-			return now, nil
-		}
-		return now, fmt.Errorf("iosnap: erasing segment %d: %w", victim, err)
+	done, erased, err := f.ReclaimSegment(now, victim)
+	if erased {
+		f.stats.GCErases++
 	}
-	f.stats.GCErases++
-	if f.dev.SegmentHealth(victim) != nand.Healthy {
-		f.retireSegment(victim)
-		return done, nil
-	}
-	for i, s := range f.usedSegs {
-		if s == victim {
-			f.usedSegs = append(f.usedSegs[:i], f.usedSegs[i+1:]...)
-			break
-		}
-	}
-	f.freeSegs = append(f.freeSegs, victim)
-	f.presence.clear(victim)
-	f.acct.untrack(victim)
-	return done, nil
+	return done, err
 }
 
 // SegmentEpochRuns measures epoch intermixing: the number of maximal runs

@@ -2,6 +2,7 @@ package iosnap
 
 import (
 	"iosnap/internal/bitmap"
+	"iosnap/internal/logcore"
 	"iosnap/internal/nand"
 	"iosnap/internal/sim"
 )
@@ -48,7 +49,7 @@ type segAcct struct {
 // gcAcct owns the per-segment caches and the greedy selection heap.
 type gcAcct struct {
 	f        *FTL
-	bySeg    []*segAcct // indexed by segment; nil when not in usedSegs
+	bySeg    []*segAcct // indexed by segment; nil when not in UsedSegs
 	heap     []*segAcct // best victim first: fewest merged-valid, oldest stamp
 	stamp    uint64
 	viewGen  uint64 // advanced when the set of view-backing epochs changes
@@ -69,7 +70,7 @@ func (a *gcAcct) curGen() uint64 { return a.f.vstore.Gen() + a.viewGen }
 // epoch set changing).
 func (a *gcAcct) bumpViewGen() { a.viewGen++ }
 
-// track registers a segment that just entered usedSegs. freshEmpty marks a
+// track registers a segment that just entered UsedSegs. freshEmpty marks a
 // just-erased segment entering service as log head: no live epoch holds a
 // bit there, so its cache starts exact (all-zero) with no rebuild charge.
 // Recovery passes false — caches start stale and the first selection
@@ -87,8 +88,8 @@ func (a *gcAcct) track(seg int, freshEmpty bool) {
 	a.heapPush(e)
 }
 
-// untrack drops a segment that left usedSegs (erased back to the pool, or
-// retired). Untracking an untracked segment is a no-op so retireSegment can
+// untrack drops a segment that left UsedSegs (erased back to the pool, or
+// retired). Untracking an untracked segment is a no-op so RetireSegment can
 // call it unconditionally.
 func (a *gcAcct) untrack(seg int) {
 	e := a.bySeg[seg]
@@ -279,7 +280,7 @@ func (a *gcAcct) refreshAll() sim.Duration {
 		return 0
 	}
 	var total sim.Duration
-	for _, seg := range a.f.usedSegs {
+	for _, seg := range a.f.UsedSegs {
 		total += a.ensureFresh(seg)
 	}
 	a.freshGen = a.curGen()
@@ -310,8 +311,8 @@ func (a *gcAcct) bestGreedy() *segAcct {
 		top := a.heap[0]
 		// Skip the head, an in-flight victim, and segments with nothing
 		// reclaimable once pinned checkpoint chunks count as live.
-		if top.seg == f.headSeg || top.seg == f.gcVictim ||
-			pps-top.valid-f.pinnedInSeg(top.seg) <= 0 {
+		if top.seg == f.HeadSeg || top.seg == f.gcVictim ||
+			pps-top.valid-f.PinnedInSeg(top.seg) <= 0 {
 			a.heapRemove(top)
 			parked = append(parked, top)
 			continue
@@ -333,16 +334,16 @@ func (a *gcAcct) bestCostBenefit() *segAcct {
 	pps := f.cfg.Nand.PagesPerSegment
 	var best *segAcct
 	bestScore := -1.0
-	for _, seg := range f.usedSegs {
-		if seg == f.headSeg || seg == f.gcVictim {
+	for _, seg := range f.UsedSegs {
+		if seg == f.HeadSeg || seg == f.gcVictim {
 			continue
 		}
 		e := a.bySeg[seg]
-		invalid := pps - e.valid - f.pinnedInSeg(seg)
+		invalid := pps - e.valid - f.PinnedInSeg(seg)
 		if invalid <= 0 {
 			continue
 		}
-		score := victimScore(VictimCostBenefit, invalid, e.valid, f.seq, f.segLastSeq[seg])
+		score := logcore.VictimScore(logcore.VictimCostBenefit, invalid, e.valid, f.Seq, f.SegLastSeq[seg])
 		if score > bestScore {
 			best, bestScore = e, score
 		}
@@ -352,7 +353,7 @@ func (a *gcAcct) bestCostBenefit() *segAcct {
 
 // ---- Greedy max-heap: fewest merged-valid first, oldest stamp on ties. ----
 // The stamp tie-break reproduces the old linear scan's first-max rule:
-// stamps are handed out at every usedSegs append, so stamp order IS log
+// stamps are handed out at every UsedSegs append, so stamp order IS log
 // order.
 
 func (a *gcAcct) better(x, y *segAcct) bool {

@@ -3,7 +3,17 @@ package iosnap
 import (
 	"testing"
 
+	"iosnap/internal/logcore"
 	"iosnap/internal/sim"
+)
+
+// The cleaner's victim policies live in the log core; these test-only
+// names keep the policy tables below short.
+type VictimPolicy = logcore.VictimPolicy
+
+const (
+	VictimGreedy      = logcore.VictimGreedy
+	VictimCostBenefit = logcore.VictimCostBenefit
 )
 
 // churnVictimState drives an FTL through writes, overwrites, trims, and

@@ -27,7 +27,7 @@ import (
 //     live snapshot's epoch exists in the validity store, parent/child
 //     links are mutual, and each snapshot's epoch reaches its parent's
 //     epoch by walking the epoch-parent chain;
-//  4. usedSegs and freeSegs partition the non-retired segments with no
+//  4. UsedSegs and FreeSegs partition the non-retired segments with no
 //     duplicates, free segments hold no programmed pages and no presence
 //     summary, and the log head lives in a used segment;
 //  5. retired segments are fully out of service: in neither pool, never the
@@ -70,12 +70,12 @@ func (f *FTL) CheckInvariants() error {
 func (f *FTL) checkMapPins() error {
 	c := f.pagedActive()
 	if c == nil {
-		if len(f.mapPins) != 0 {
-			return fmt.Errorf("invariant: %d translation-page pins with no paged map", len(f.mapPins))
+		if len(f.MapPins) != 0 {
+			return fmt.Errorf("invariant: %d translation-page pins with no paged map", len(f.MapPins))
 		}
 		return nil
 	}
-	for a, idx := range f.mapPins {
+	for a, idx := range f.MapPins {
 		want, ok := c.AddrOf(idx)
 		if !ok {
 			return fmt.Errorf("invariant: pinned translation page %d (addr %d) not in the GTD", idx, a)
@@ -99,7 +99,7 @@ func (f *FTL) checkMapPins() error {
 		}
 	}
 	for _, ent := range c.GTDEntries() {
-		if _, ok := f.mapPins[nand.PageAddr(ent.Addr)]; !ok {
+		if _, ok := f.MapPins[nand.PageAddr(ent.Addr)]; !ok {
 			return fmt.Errorf("invariant: GTD page %d at %d not pinned", ent.Idx, ent.Addr)
 		}
 	}
@@ -111,20 +111,20 @@ func (f *FTL) checkMapPins() error {
 // pages, every pinned page must hold a parseable checkpoint-chunk header,
 // and the device anchor must mirror the committed generation.
 func (f *FTL) checkCheckpointPins() error {
-	named := make(map[nand.PageAddr]bool, len(f.anchorAddrs)+len(f.ckptInflight))
-	for _, a := range f.anchorAddrs {
+	named := make(map[nand.PageAddr]bool, len(f.AnchorAddrs)+len(f.CkptInflight))
+	for _, a := range f.AnchorAddrs {
 		named[a] = true
-		if !f.ckptPins[a] {
+		if !f.CkptPins[a] {
 			return fmt.Errorf("invariant: anchor chunk %d not pinned", a)
 		}
 	}
-	for _, a := range f.ckptInflight {
+	for _, a := range f.CkptInflight {
 		named[a] = true
-		if !f.ckptPins[a] {
+		if !f.CkptPins[a] {
 			return fmt.Errorf("invariant: in-flight checkpoint chunk %d not pinned", a)
 		}
 	}
-	for a := range f.ckptPins {
+	for a := range f.CkptPins {
 		if !named[a] {
 			return fmt.Errorf("invariant: pinned page %d named by neither the anchor nor the in-flight generation", a)
 		}
@@ -141,15 +141,15 @@ func (f *FTL) checkCheckpointPins() error {
 		}
 	}
 	anchor := f.dev.Anchor()
-	if len(f.anchorAddrs) > 0 {
+	if len(f.AnchorAddrs) > 0 {
 		if anchor == nil {
-			return fmt.Errorf("invariant: committed checkpoint %d has no device anchor", f.anchorID)
+			return fmt.Errorf("invariant: committed checkpoint %d has no device anchor", f.AnchorID)
 		}
-		if anchor.ID != f.anchorID || len(anchor.Addrs) != len(f.anchorAddrs) {
+		if anchor.ID != f.AnchorID || len(anchor.Addrs) != len(f.AnchorAddrs) {
 			return fmt.Errorf("invariant: device anchor (%d, %d chunks) diverges from committed checkpoint (%d, %d chunks)",
-				anchor.ID, len(anchor.Addrs), f.anchorID, len(f.anchorAddrs))
+				anchor.ID, len(anchor.Addrs), f.AnchorID, len(f.AnchorAddrs))
 		}
-		for i, a := range f.anchorAddrs {
+		for i, a := range f.AnchorAddrs {
 			if anchor.Addrs[i] != a {
 				return fmt.Errorf("invariant: device anchor chunk %d is %d, FTL records %d", i, anchor.Addrs[i], a)
 			}
@@ -161,8 +161,8 @@ func (f *FTL) checkCheckpointPins() error {
 // checkGCAccounting cross-checks the incremental merged-validity accounting
 // (gcacct.go) against a from-scratch recompute:
 //
-//   - the tracked-segment set equals the usedSegs set, with insertion stamps
-//     strictly increasing in usedSegs order (the tie-break that makes heap
+//   - the tracked-segment set equals the UsedSegs set, with insertion stamps
+//     strictly increasing in UsedSegs order (the tie-break that makes heap
 //     selection reproduce the old oldest-first scan);
 //   - the greedy heap contains exactly the tracked entries, with correct
 //     back-pointers and the heap property intact;
@@ -186,14 +186,14 @@ func (f *FTL) checkGCAccounting() error {
 			return fmt.Errorf("invariant: gcacct entry for segment %d carries seg %d", s, e.seg)
 		}
 	}
-	if tracked != len(f.usedSegs) {
-		return fmt.Errorf("invariant: gcacct tracks %d segments, usedSegs has %d", tracked, len(f.usedSegs))
+	if tracked != len(f.UsedSegs) {
+		return fmt.Errorf("invariant: gcacct tracks %d segments, UsedSegs has %d", tracked, len(f.UsedSegs))
 	}
 	if len(a.heap) != tracked {
 		return fmt.Errorf("invariant: gcacct heap has %d entries for %d tracked segments", len(a.heap), tracked)
 	}
 	var prevStamp uint64
-	for i, s := range f.usedSegs {
+	for i, s := range f.UsedSegs {
 		e := a.bySeg[s]
 		if e == nil {
 			return fmt.Errorf("invariant: used segment %d untracked by gcacct", s)
@@ -230,7 +230,7 @@ func (f *FTL) checkGCAccounting() error {
 			frozenEps = append(frozenEps, ep)
 		}
 	}
-	for _, s := range f.usedSegs {
+	for _, s := range f.UsedSegs {
 		e := a.bySeg[s]
 		if e.gen != gen {
 			continue // stale by design; rebuilt before the next selection
@@ -426,7 +426,7 @@ func (f *FTL) checkTree() error {
 
 func (f *FTL) checkPools() error {
 	where := make(map[int]string)
-	for _, s := range f.freeSegs {
+	for _, s := range f.FreeSegs {
 		if prev, dup := where[s]; dup {
 			return fmt.Errorf("invariant: segment %d in %s and free pool", s, prev)
 		}
@@ -439,12 +439,12 @@ func (f *FTL) checkPools() error {
 		}
 	}
 	headUsed := false
-	for _, s := range f.usedSegs {
+	for _, s := range f.UsedSegs {
 		if prev, dup := where[s]; dup {
 			return fmt.Errorf("invariant: segment %d in %s and used list", s, prev)
 		}
 		where[s] = "used"
-		if s == f.headSeg {
+		if s == f.HeadSeg {
 			headUsed = true
 		}
 	}
@@ -453,7 +453,7 @@ func (f *FTL) checkPools() error {
 		if pool, pooled := where[s]; pooled {
 			return fmt.Errorf("invariant: retired segment %d still in %s pool", s, pool)
 		}
-		if s == f.headSeg {
+		if s == f.HeadSeg {
 			return fmt.Errorf("invariant: log head on retired segment %d", s)
 		}
 		pps := int64(f.cfg.Nand.PagesPerSegment)
@@ -470,7 +470,7 @@ func (f *FTL) checkPools() error {
 			len(where), len(retired), f.cfg.Nand.Segments)
 	}
 	if !headUsed {
-		return fmt.Errorf("invariant: log head segment %d not in used list", f.headSeg)
+		return fmt.Errorf("invariant: log head segment %d not in used list", f.HeadSeg)
 	}
 	return nil
 }
@@ -494,21 +494,21 @@ func CompareRecovered(a, b *FTL) error {
 	if a.epochCounter != b.epochCounter {
 		return fmt.Errorf("compare: epoch counter %d vs %d", a.epochCounter, b.epochCounter)
 	}
-	if a.seq != b.seq {
-		return fmt.Errorf("compare: sequence number %d vs %d", a.seq, b.seq)
+	if a.Seq != b.Seq {
+		return fmt.Errorf("compare: sequence number %d vs %d", a.Seq, b.Seq)
 	}
-	if a.headSeg != b.headSeg || a.headIdx != b.headIdx {
-		return fmt.Errorf("compare: log head %d/%d vs %d/%d", a.headSeg, a.headIdx, b.headSeg, b.headIdx)
+	if a.HeadSeg != b.HeadSeg || a.HeadIdx != b.HeadIdx {
+		return fmt.Errorf("compare: log head %d/%d vs %d/%d", a.HeadSeg, a.HeadIdx, b.HeadSeg, b.HeadIdx)
 	}
-	if fmt.Sprint(a.usedSegs) != fmt.Sprint(b.usedSegs) {
-		return fmt.Errorf("compare: usedSegs %v vs %v", a.usedSegs, b.usedSegs)
+	if fmt.Sprint(a.UsedSegs) != fmt.Sprint(b.UsedSegs) {
+		return fmt.Errorf("compare: UsedSegs %v vs %v", a.UsedSegs, b.UsedSegs)
 	}
-	if fmt.Sprint(a.freeSegs) != fmt.Sprint(b.freeSegs) {
-		return fmt.Errorf("compare: freeSegs %v vs %v", a.freeSegs, b.freeSegs)
+	if fmt.Sprint(a.FreeSegs) != fmt.Sprint(b.FreeSegs) {
+		return fmt.Errorf("compare: FreeSegs %v vs %v", a.FreeSegs, b.FreeSegs)
 	}
-	for s := range a.segLastSeq {
-		if a.segLastSeq[s] != b.segLastSeq[s] {
-			return fmt.Errorf("compare: segment %d last seq %d vs %d", s, a.segLastSeq[s], b.segLastSeq[s])
+	for s := range a.SegLastSeq {
+		if a.SegLastSeq[s] != b.SegLastSeq[s] {
+			return fmt.Errorf("compare: segment %d last seq %d vs %d", s, a.SegLastSeq[s], b.SegLastSeq[s])
 		}
 	}
 

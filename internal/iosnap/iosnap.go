@@ -1,6 +1,6 @@
 // Package iosnap implements the paper's contribution: a snapshot-capable
-// log-structured FTL ("ioSnap", EuroSys 2014). It extends the vanilla
-// Remap-on-Write design of internal/ftl with:
+// log-structured FTL ("ioSnap", EuroSys 2014). It builds on the shared
+// Remap-on-Write log core (internal/logcore) with:
 //
 //   - epochs — a monotonically increasing counter stamped into every block
 //     header, preserving log-time across segment-cleaner intermixing (§5.3.2);
@@ -27,10 +27,10 @@ import (
 
 	"iosnap/internal/bitmap"
 	"iosnap/internal/header"
+	"iosnap/internal/logcore"
 	"iosnap/internal/mapcache"
 	"iosnap/internal/nand"
 	"iosnap/internal/ratelimit"
-	"iosnap/internal/retry"
 	"iosnap/internal/sim"
 )
 
@@ -39,18 +39,13 @@ var (
 	ErrOutOfRange      = errors.New("iosnap: LBA out of range")
 	ErrBadLength       = errors.New("iosnap: buffer not a multiple of sector size")
 	ErrClosed          = errors.New("iosnap: device closed")
-	ErrDeviceFull      = errors.New("iosnap: no reclaimable space")
+	ErrDeviceFull      = logcore.ErrDeviceFull
 	ErrNoSuchSnapshot  = errors.New("iosnap: no such snapshot")
 	ErrSnapshotDeleted = errors.New("iosnap: snapshot deleted")
 	ErrNotReady        = errors.New("iosnap: activation not finished")
 	ErrViewClosed      = errors.New("iosnap: activated view deactivated")
 	ErrReadOnlyView    = errors.New("iosnap: view is read-only")
-	// ErrOutOfSpace is the graceful-degradation error: the free pool fell to
-	// the rescue reserve with nothing reclaimable, so new writes shed while
-	// reads, snapshot deletes, and GC keep working. The condition clears
-	// automatically once cleaning frees space (e.g. after a trim or a
-	// snapshot delete releases blocks).
-	ErrOutOfSpace = errors.New("iosnap: out of space (degraded read-only)")
+	ErrOutOfSpace      = logcore.ErrOutOfSpace
 )
 
 // GCPolicy selects how the cleaner estimates its work for pacing.
@@ -73,53 +68,17 @@ func (p GCPolicy) String() string {
 	return "vanilla-estimate"
 }
 
-// Config parameterizes the snapshot-capable FTL.
+// Config parameterizes the snapshot-capable FTL: the log core's settings
+// plus the snapshot knobs.
 type Config struct {
-	Nand nand.Config
+	logcore.Config
 
-	// UserSectors is the advertised logical capacity (see ftl.Config).
-	UserSectors int64
-	// ReserveSegments triggers background cleaning at or below this pool size.
-	ReserveSegments int
-	// GCWindow paces the copy-forward of one victim segment.
-	GCWindow sim.Duration
-	// GCChunk is pages copied per cleaning quantum.
-	GCChunk int
 	// GCPolicy selects the pacing estimate (Figure 10's ablation).
 	GCPolicy GCPolicy
-	// VictimPolicy selects the cleaner's segment-choice heuristic.
-	VictimPolicy VictimPolicy
 	// EpochSegregation makes the cleaner copy a victim's blocks grouped by
 	// epoch, minimizing intermix in the destination segment (§5.4.2's
 	// policy sketch; an ablation in this repo).
 	EpochSegregation bool
-
-	// MapCPUCost is the host cost of one forward-map descent. A multi-sector
-	// request is charged once per *leaf* its run spans in a maximally-packed tree (ftlmap.RunSpan),
-	// not once per sector — the batched data path's cost model (DESIGN.md
-	// §10).
-	MapCPUCost sim.Duration
-	// MapCachePages selects the active forward map's memory layout
-	// (DESIGN.md §13). 0 (the default) keeps the in-RAM B+tree. Non-zero
-	// switches to the flash-resident paged map: translation pages of
-	// mapcache.SlotsFor(SectorSize) slots each, a RAM-pinned global
-	// translation directory, and a CLOCK cache of resident pages. A
-	// positive value bounds the cache to that many resident translation
-	// pages — dirty pages write back through the log head on eviction and
-	// the map's host footprint becomes O(cache + GTD) instead of O(map) —
-	// and requires a data-storing device (Nand.StoreData). A negative
-	// value runs the paged layout cache-unbounded: nothing is ever written
-	// to flash, which keeps it lockstep bit-exact with the tree.
-	MapCachePages int
-	// ReferenceDataPath selects the per-sector reference implementation of
-	// the data path: per-key map operations, per-bit validity flips, and
-	// per-page device calls, on the exact virtual-time skeleton the batched
-	// path uses. The equivalence tests run workloads both ways and demand
-	// identical device state, Stats, and completion times.
-	ReferenceDataPath bool
-	// MergeCPUPerBlock is the host cost, per block per epoch, of validity
-	// merging in the cleaner (Table 4's "validity merge" column).
-	MergeCPUPerBlock sim.Duration
 	// CoWPageCost is the host cost of copying one validity-bitmap page when
 	// a write mutates a page frozen by a snapshot (Figure 7's spikes).
 	CoWPageCost sim.Duration
@@ -140,17 +99,6 @@ type Config struct {
 	// snapshot's lineage, instead of the whole log.
 	SelectiveScan bool
 
-	// Retry bounds how many times a failed NAND operation is reissued and
-	// how virtual-time backoff grows between attempts. Errors that persist
-	// past the budget are permanent: the segment is marked suspect and the
-	// rescue machinery takes over.
-	Retry retry.Policy
-	// RescueReserve is the number of free segments held back from normal
-	// allocation so a dying segment can always be rescued (copy-forward
-	// needs destination space even when the device is nearly full). When
-	// the pool would dip below the reserve and nothing is reclaimable,
-	// writes shed with ErrOutOfSpace instead of consuming the reserve.
-	RescueReserve int
 	// ScrubInterval arms the background scrubber: at most one scrub pass
 	// per interval walks the used segments oldest-first, read-verifying
 	// their headers and rescuing+retiring any suspect segment. Zero
@@ -160,16 +108,6 @@ type Config struct {
 	// activation rate-limiting) so foreground latency is preserved. The
 	// zero value scrubs unthrottled.
 	ScrubLimit ratelimit.WorkSleep
-	// CheckpointInterval arms the periodic background checkpoint: at most
-	// one snapshot-aware checkpoint (active map + snapshot tree + per-epoch
-	// validity deltas) is written to the log per interval, bounding how much
-	// of the log recovery must scan. Zero disables periodic checkpoints
-	// (Close still writes one when the device stores data).
-	CheckpointInterval sim.Duration
-	// CheckpointLimit paces the background checkpoint's chunk programs
-	// (work/sleep) so serialization never stalls foreground writes. The
-	// zero value programs unthrottled.
-	CheckpointLimit ratelimit.WorkSleep
 
 	// GCGate, when non-nil, arbitrates *background* cleaning across FTL
 	// instances that share a budget (the sharded front-end's global GC
@@ -192,59 +130,23 @@ type GCGate interface {
 	Release()
 }
 
-// DefaultConfig mirrors ftl.DefaultConfig with the snapshot knobs added.
+// DefaultConfig returns the log core's defaults with the snapshot knobs
+// added.
 func DefaultConfig(nc nand.Config) Config {
-	phys := nc.TotalPages()
-	reserve := nc.Segments / 16
-	if reserve < 2 {
-		reserve = 2
-	}
-	user := phys * 7 / 8
-	maxUser := int64(nc.Segments-reserve-1) * int64(nc.PagesPerSegment)
-	if user > maxUser {
-		user = maxUser
-	}
 	return Config{
-		Nand:                   nc,
-		UserSectors:            user,
-		ReserveSegments:        reserve,
-		GCWindow:               10 * sim.Second,
-		GCChunk:                32,
+		Config:                 logcore.DefaultConfig(nc),
 		GCPolicy:               GCSnapshotAware,
-		MapCPUCost:             300 * sim.Nanosecond,
-		MergeCPUPerBlock:       15 * sim.Nanosecond,
 		CoWPageCost:            100 * sim.Microsecond,
 		ReconstructCPUPerEntry: 150 * sim.Nanosecond,
 		BitmapPageBits:         bitmap.DefaultBitsPerPage,
 		ActivationBatch:        8,
-		Retry:                  retry.Default(),
-		RescueReserve:          2,
 	}
-}
-
-// dataReserve is the free-pool floor for ordinary allocation. At least one
-// segment must always stay free for the cleaner's copy destination.
-func (c Config) dataReserve() int {
-	if c.RescueReserve < 1 {
-		return 1
-	}
-	return c.RescueReserve
 }
 
 // Validate checks configuration consistency.
 func (c Config) Validate() error {
-	if err := c.Nand.Validate(); err != nil {
+	if err := c.Config.Validate(); err != nil {
 		return err
-	}
-	if c.UserSectors <= 0 || c.UserSectors >= c.Nand.TotalPages() {
-		return fmt.Errorf("iosnap: UserSectors %d must be positive and leave over-provisioning (physical %d)",
-			c.UserSectors, c.Nand.TotalPages())
-	}
-	if c.ReserveSegments < 1 || c.ReserveSegments >= c.Nand.Segments {
-		return fmt.Errorf("iosnap: ReserveSegments %d out of range", c.ReserveSegments)
-	}
-	if c.GCChunk <= 0 {
-		return fmt.Errorf("iosnap: GCChunk %d must be positive", c.GCChunk)
 	}
 	if c.BitmapPageBits != 0 && (c.BitmapPageBits < 64 || c.BitmapPageBits%64 != 0) {
 		return fmt.Errorf("iosnap: BitmapPageBits %d must be a positive multiple of 64", c.BitmapPageBits)
@@ -252,28 +154,10 @@ func (c Config) Validate() error {
 	if c.ActivationBatch < 1 {
 		return fmt.Errorf("iosnap: ActivationBatch %d must be at least 1", c.ActivationBatch)
 	}
-	if c.RescueReserve < 0 || c.RescueReserve >= c.Nand.Segments {
-		return fmt.Errorf("iosnap: RescueReserve %d out of range", c.RescueReserve)
-	}
 	if c.ScrubInterval < 0 {
 		return fmt.Errorf("iosnap: ScrubInterval must not be negative")
 	}
-	if c.CheckpointInterval < 0 {
-		return fmt.Errorf("iosnap: CheckpointInterval must not be negative")
-	}
-	if c.MapCachePages > 0 && !c.Nand.StoreData {
-		return fmt.Errorf("iosnap: MapCachePages %d requires a data-storing device (translation pages live on flash)", c.MapCachePages)
-	}
 	return nil
-}
-
-// mapLimit converts MapCachePages to the cache's residency-limit parameter
-// (<=0 = unbounded).
-func (c Config) mapLimit() int {
-	if c.MapCachePages < 0 {
-		return 0
-	}
-	return c.MapCachePages
 }
 
 // Stats counts ioSnap activity.
@@ -372,9 +256,13 @@ type view struct {
 	fromActivation bool
 }
 
-// FTL is the snapshot-capable translation layer. Not safe for concurrent
-// use; the simulation is single-threaded over virtual time.
+// FTL is the snapshot-capable translation layer: the shared log core plus
+// epochs, the snapshot tree, CoW validity maps, and the snapshot-aware
+// cleaner. Not safe for concurrent use; the simulation is single-threaded
+// over virtual time.
 type FTL struct {
+	logcore.Log
+
 	cfg   Config
 	dev   *nand.Device
 	sched *sim.Scheduler
@@ -390,37 +278,36 @@ type FTL struct {
 	epochCounter bitmap.Epoch
 	epochParent  map[bitmap.Epoch]bitmap.Epoch
 
-	headSeg    int
-	headIdx    int
-	seq        uint64
-	freeSegs   []int
-	usedSegs   []int
-	segLastSeq []uint64 // newest write sequence per segment (victim aging)
-
 	gcActive    bool
 	gcVictim    int // segment a background gcTask currently owns (-1 = none)
 	scrubActive bool
 	lastScrub   sim.Time // completion time of the last scrub pass
 
-	ckptActive   bool
-	lastCkpt     sim.Time               // completion time of the last committed checkpoint
-	ckptPins     map[nand.PageAddr]bool // chunk pages the cleaner must preserve
-	// mapPins maps each live GTD-referenced translation page to its
-	// translation-page index. Like checkpoint chunks, translation pages are
-	// valid in no epoch, so the pin is their only cleaning protection; the
-	// cleaner copies them forward and re-points the GTD (mappage.go).
-	mapPins map[nand.PageAddr]uint64
-	anchorID     uint64                 // committed checkpoint generation (0 = none)
-	anchorAddrs  []nand.PageAddr        // the committed generation's chunk addresses
-	ckptInflight []nand.PageAddr        // chunks of the generation being written
-	degraded     bool                   // out-of-space: writes shed until cleaning frees space
-	closed       bool
-	frozen       bool
-	activations  []*Activation // in-flight activations (cleaner keeps them consistent)
-	exports      []*Export     // in-flight snapshot exports (ditto)
-	stats        Stats
+	frozen      bool
+	activations []*Activation // in-flight activations (cleaner keeps them consistent)
+	exports     []*Export     // in-flight snapshot exports (ditto)
+	stats       Stats
+}
 
-	ws dataPathScratch // reusable buffers for the batched data path (datapath.go)
+// shell builds an FTL over dev with an empty log, no epochs and no views;
+// New formats it, recovery fills it in from a scan or a checkpoint.
+func shell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
+	if sched == nil {
+		sched = sim.NewScheduler()
+	}
+	f := &FTL{
+		cfg:         cfg,
+		dev:         dev,
+		sched:       sched,
+		vstore:      bitmap.NewStore(cfg.Nand.TotalPages(), cfg.BitmapPageBits),
+		tree:        NewTree(),
+		epochParent: make(map[bitmap.Epoch]bitmap.Epoch),
+		gcVictim:    -1,
+		presence:    newEpochPresence(cfg.Nand.Segments),
+	}
+	f.Init(cfg.Config, dev, sched, f)
+	f.acct = newGCAcct(f)
+	return f
 }
 
 // New formats a fresh device. See ftl.New for the scheduler contract.
@@ -428,35 +315,14 @@ func New(cfg Config, sched *sim.Scheduler) (*FTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if sched == nil {
-		sched = sim.NewScheduler()
-	}
-	f := &FTL{
-		cfg:          cfg,
-		dev:          nand.New(cfg.Nand),
-		sched:        sched,
-		vstore:       bitmap.NewStore(cfg.Nand.TotalPages(), cfg.BitmapPageBits),
-		tree:         NewTree(),
-		epochCounter: 1,
-		epochParent:  make(map[bitmap.Epoch]bitmap.Epoch),
-		gcVictim:     -1,
-		segLastSeq:   make([]uint64, cfg.Nand.Segments),
-		presence:     newEpochPresence(cfg.Nand.Segments),
-		ckptPins:     make(map[nand.PageAddr]bool),
-		mapPins:      make(map[nand.PageAddr]uint64),
-	}
+	f := shell(cfg, nand.New(cfg.Nand), sched)
+	f.epochCounter = 1
 	if err := f.vstore.CreateEpoch(1, bitmap.NoParent); err != nil {
 		return nil, err
 	}
-	f.active = &view{fmap: f.newActiveMap(), epoch: 1, writable: true}
+	f.active = &view{fmap: f.NewMap(), epoch: 1, writable: true}
 	f.views = []*view{f.active}
-	for s := cfg.Nand.Segments - 1; s >= 1; s-- {
-		f.freeSegs = append(f.freeSegs, s)
-	}
-	f.headSeg = 0
-	f.usedSegs = []int{0}
-	f.acct = newGCAcct(f)
-	f.acct.track(0, true)
+	f.Format()
 	return f, nil
 }
 
@@ -482,7 +348,7 @@ func (f *FTL) SectorSize() int { return f.cfg.Nand.SectorSize }
 func (f *FTL) Sectors() int64 { return f.cfg.UserSectors }
 
 // FreeSegments returns the size of the erased-segment pool.
-func (f *FTL) FreeSegments() int { return len(f.freeSegs) }
+func (f *FTL) FreeSegments() int { return len(f.FreeSegs) }
 
 // MappedSectors returns the active view's translation count.
 func (f *FTL) MappedSectors() int { return f.active.fmap.Len() }
@@ -493,6 +359,11 @@ func (f *FTL) ActiveMapMemory() int64 { return f.active.fmap.MemoryBytes() }
 // Stats returns a snapshot of the counters with derived fields refreshed.
 func (f *FTL) Stats() Stats {
 	s := f.stats
+	c := f.Counters
+	s.Retries, s.MediaFailures, s.OutOfSpaceWrites = c.Retries, c.MediaFailures, c.OutOfSpaceWrites
+	s.BatchDescents, s.BatchPages, s.BatchNandCalls = c.BatchDescents, c.BatchPages, c.BatchNandCalls
+	s.Checkpoints, s.CheckpointChunks = c.Checkpoints, c.CheckpointChunks
+	s.CheckpointErrors, s.CheckpointLastErr = c.CheckpointErrors, c.CheckpointLastErr
 	s.CoWPageCopies = f.vstore.CoWCopies()
 	s.MapMemory = f.active.fmap.MemoryBytes()
 	s.MapMemoryResident = f.active.fmap.ResidentBytes()
@@ -505,7 +376,7 @@ func (f *FTL) Stats() Stats {
 	}
 	s.ValidityMemory = f.vstore.MemoryBytes()
 	s.SegmentsSuspect, s.SegmentsRetired = f.dev.HealthCounts()
-	s.Degraded = f.degraded
+	s.Degraded = f.Degraded
 	if s.UserWrites > 0 {
 		s.WriteAmplify = float64(s.UserWrites+s.GCCopied) / float64(s.UserWrites)
 	}
@@ -513,7 +384,7 @@ func (f *FTL) Stats() Stats {
 }
 
 func (f *FTL) checkIO(lba int64, n int) error {
-	if f.closed {
+	if f.Closed {
 		return ErrClosed
 	}
 	if n == 0 {
@@ -529,7 +400,7 @@ func (f *FTL) checkIO(lba int64, n int) error {
 // mid-run report the sectors completed before the failure in
 // UserReads/BytesRead and return the virtual time already consumed.
 func (f *FTL) Read(now sim.Time, lba int64, buf []byte) (sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return now, ErrClosed
 	}
 	completed, done, err := f.readVia(f.active, now, lba, buf)
@@ -541,7 +412,7 @@ func (f *FTL) Read(now sim.Time, lba int64, buf []byte) (sim.Time, error) {
 // Write implements blockdev.Device on the active view. Like Read, a mid-run
 // device failure leaves the completed sectors committed and counted.
 func (f *FTL) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return now, ErrClosed
 	}
 	completed, done, err := f.writeVia(f.active, now, lba, data)
@@ -550,111 +421,56 @@ func (f *FTL) Write(now sim.Time, lba int64, data []byte) (sim.Time, error) {
 	return done, err
 }
 
-// allocPage returns the next log-head page, forcing synchronous cleaning
-// when the pool is nearly empty. Ordinary allocation honours the rescue
-// reserve; when the pool cannot be kept above it the device degrades to
-// read-only and the write sheds with ErrOutOfSpace.
-func (f *FTL) allocPage(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	return f.allocPageReserve(now, f.cfg.dataReserve())
+// pagedActive returns the active view's cache, or nil in tree mode.
+func (f *FTL) pagedActive() *mapcache.Cache {
+	if f.active == nil {
+		return nil
+	}
+	return f.active.fmap.Paged()
 }
 
-// allocPageReserve allocates a log-head page while keeping at least
-// `reserve` segments free. Space-freeing operations (snapshot delete and
-// deactivate notes) pass a lower reserve so they still work while the
-// device is degraded; everything else goes through allocPage.
-func (f *FTL) allocPageReserve(now sim.Time, reserve int) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		for len(f.freeSegs) <= reserve {
-			var err error
-			now, err = f.cleanOnce(now, true)
-			if err != nil {
-				if errors.Is(err, ErrDeviceFull) {
-					f.degraded = true
-					f.stats.OutOfSpaceWrites++
-					return 0, now, ErrOutOfSpace
-				}
-				return 0, now, err
-			}
-		}
-		f.degraded = false
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-		f.acct.track(f.headSeg, true)
-		f.maybeScheduleGC(now)
-		f.maybeScheduleScrub(now)
-		f.maybeScheduleCheckpoint(now)
-	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
+// SegmentOpened implements logcore.Policy: a just-erased segment entering
+// service as log head joins the cleaner's accounting with an exact (empty)
+// merge cache.
+func (f *FTL) SegmentOpened(seg int) { f.acct.track(seg, true) }
+
+// SegmentReleased implements logcore.Policy: an erased or retired segment
+// leaves the presence summary and the cleaner's accounting.
+func (f *FTL) SegmentReleased(seg int) {
+	f.presence.clear(seg)
+	f.acct.untrack(seg)
 }
 
-// ungetPage rolls back the most recent allocPage/allocPageGC after a failed
-// program. Without this the unprogrammed page becomes a permanent hole at
-// the log head: SequentialProg devices reject every later program in the
-// segment with ErrOutOfOrder, turning one transient fault into a bricked
-// log. Only the exact page just handed out is reclaimed, and only if the
-// program really did not land.
-func (f *FTL) ungetPage(addr nand.PageAddr) {
-	if f.headIdx == 0 || addr != f.dev.Addr(f.headSeg, f.headIdx-1) {
-		return
-	}
-	if _, err := f.dev.PageOOB(addr); err == nil {
-		return // the program landed after all (e.g. a post-program fault)
-	}
-	f.headIdx--
+// HeadAdvanced implements logcore.Policy: a head advance arms the
+// background cleaner, the scrubber, and the periodic checkpoint.
+func (f *FTL) HeadAdvanced(now sim.Time) {
+	f.maybeScheduleGC(now)
+	f.maybeScheduleScrub(now)
+	f.MaybeScheduleCheckpoint(now, f.active.fmap)
 }
 
-// allocPageGC is the cleaner's allocation: it never forces a nested clean.
-func (f *FTL) allocPageGC(now sim.Time) (nand.PageAddr, sim.Time, error) {
-	if f.headIdx == f.cfg.Nand.PagesPerSegment {
-		if len(f.freeSegs) == 0 {
-			return 0, now, ErrDeviceFull
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
-		f.acct.track(f.headSeg, true)
-	}
-	addr := f.dev.Addr(f.headSeg, f.headIdx)
-	f.headIdx++
-	return addr, now, nil
-}
+// MapFrozen implements logcore.Policy: a freeze forbids programs, so dirty
+// translation pages stay resident.
+func (f *FTL) MapFrozen() bool { return f.frozen }
 
 // writeNote appends a snapshot note (one metadata block, the paper's 4 KB
 // per snapshot operation) and returns its address. Notes are marked valid
 // in the active epoch so the cleaner preserves them for crash recovery.
 func (f *FTL) writeNote(now sim.Time, typ header.Type, id SnapshotID, epoch bitmap.Epoch) (nand.PageAddr, sim.Time, error) {
-	reserve := f.cfg.dataReserve()
+	reserve := f.cfg.DataReserve()
 	if typ == header.TypeSnapDelete || typ == header.TypeSnapDeactivate {
 		// Space-FREEING notes dip below the rescue reserve: deleting a
 		// snapshot is how a degraded device recovers, so it must not be
 		// refused for the very space it is about to release.
 		reserve = 1
 	}
-	addr, now, err := f.allocPageReserve(now, reserve)
+	h := header.Header{Type: typ, LBA: uint64(id), Epoch: uint64(epoch)}
+	addr, done, err := f.AppendPage(now, reserve, h, func(uint64) []byte {
+		return make([]byte, f.cfg.Nand.SectorSize)
+	})
 	if err != nil {
-		return 0, now, err
+		return 0, done, fmt.Errorf("iosnap: writing %v note: %w", typ, err)
 	}
-	f.seq++
-	h := header.Header{Type: typ, LBA: uint64(id), Epoch: uint64(epoch), Seq: f.seq}
-	payload := make([]byte, f.cfg.Nand.SectorSize)
-	done, err := f.devProgramPage(now, addr, payload, h.Marshal())
-	if err != nil {
-		f.ungetPage(addr)
-		if retry.MediaFailure(err) {
-			f.sealHead()
-		}
-		return 0, now, fmt.Errorf("iosnap: writing %v note: %w", typ, err)
-	}
-	// Notes age their segment exactly like data: without this the checkpoint
-	// segment table's per-segment max sequence (taken from segLastSeq) would
-	// undercount a note-tailed segment and recovery's staleness check would
-	// diverge from what a scan of the same segment reports.
-	f.segLastSeq[f.dev.SegmentOf(addr)] = f.seq
 	f.vstore.Set(f.active.epoch, int64(addr))
 	f.acct.onViewSet(int64(addr))
 	f.presence.add(f.dev.SegmentOf(addr), f.active.epoch)
@@ -666,18 +482,18 @@ func (f *FTL) writeNote(now sim.Time, typ header.Type, id SnapshotID, epoch bitm
 // remains the source of truth — a failed or absent checkpoint only means
 // the next recovery falls back to the full header scan.
 func (f *FTL) Close(now sim.Time) (sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return now, ErrClosed
 	}
-	if f.cfg.Nand.StoreData && !f.ckptActive {
-		done, _ := f.writeCheckpoint(now)
+	if f.cfg.Nand.StoreData && !f.CkptActive {
+		done, _ := f.WriteCheckpoint(now, f.active.fmap)
 		// A failed attempt still consumed real NAND and bus time for the
 		// chunks that landed before the error, so the clock advances on
 		// both paths. The error itself was recorded in CheckpointErrors
 		// and the previous anchor (if any) stays intact; closing proceeds.
 		now = done
 	}
-	f.closed = true
+	f.Closed = true
 	return now, nil
 }
 

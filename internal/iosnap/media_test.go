@@ -107,7 +107,7 @@ func TestSnapshotDataRescuedOnRetirement(t *testing.T) {
 	for {
 		victim := -1
 		for _, seg := range f.UsedSegments() {
-			if seg != f.headSeg && f.dev.SegmentHealth(seg) == nand.Healthy {
+			if seg != f.HeadSeg && f.dev.SegmentHealth(seg) == nand.Healthy {
 				victim = seg
 				break
 			}
@@ -181,7 +181,7 @@ func TestScrubRescuesSuspectSegment(t *testing.T) {
 	now = f.sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -355,7 +355,7 @@ func TestRetiredSegmentSurvivesRecovery(t *testing.T) {
 	now = f.sched.Drain(now)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}
@@ -373,14 +373,14 @@ func TestRetiredSegmentSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery with retired segment: %v", err)
 	}
-	pooled := append(f2.UsedSegments(), f2.freeSegs...)
+	pooled := append(f2.UsedSegments(), f2.FreeSegs...)
 	sort.Ints(pooled)
 	for _, s := range pooled {
 		if s == victim {
 			t.Fatal("retired segment re-pooled by recovery")
 		}
 	}
-	if f2.headSeg == victim {
+	if f2.HeadSeg == victim {
 		t.Fatal("recovery resumed head on retired segment")
 	}
 	if err := f2.CheckInvariants(); err != nil {

@@ -98,29 +98,10 @@ func recoverIoSnap(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.T
 	return f, now, nil
 }
 
-// recoverShell builds the empty FTL both recovery paths fill in.
-func recoverShell(cfg Config, dev *nand.Device, sched *sim.Scheduler) *FTL {
-	f := &FTL{
-		cfg:         cfg,
-		dev:         dev,
-		sched:       sched,
-		vstore:      bitmap.NewStore(cfg.Nand.TotalPages(), cfg.BitmapPageBits),
-		tree:        NewTree(),
-		epochParent: make(map[bitmap.Epoch]bitmap.Epoch),
-		gcVictim:    -1,
-		segLastSeq:  make([]uint64, cfg.Nand.Segments),
-		presence:    newEpochPresence(cfg.Nand.Segments),
-		ckptPins:    make(map[nand.PageAddr]bool),
-		mapPins:     make(map[nand.PageAddr]uint64),
-	}
-	f.acct = newGCAcct(f)
-	return f
-}
-
 // fullScanRecover is the historical path: scan every live segment's
 // headers and rebuild everything bottom-up.
 func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, error) {
-	f := recoverShell(cfg, dev, sched)
+	f := shell(cfg, dev, sched)
 
 	// ---- Scan: one pass over all OOB headers. ----
 	var (
@@ -137,7 +118,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 			// last-write-wins replay over the rescued ones.
 			continue
 		}
-		oobs, done, err := f.devScanSegmentOOB(now, seg)
+		oobs, done, err := f.DevScanSegmentOOB(now, seg)
 		if err != nil {
 			return nil, now, fmt.Errorf("iosnap: scanning segment %d: %w", seg, err)
 		}
@@ -175,7 +156,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 			// the reference reconstruction and trusts only the raw log.
 		}
 	}
-	f.seq = maxSeq
+	f.Seq = maxSeq
 	for _, d := range data {
 		f.presence.add(f.dev.SegmentOf(d.addr), d.epoch)
 	}
@@ -296,7 +277,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 		entries = append(entries, ftlmap.Entry{Key: lba, Val: uint64(w.addr)})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	f.active = &view{fmap: f.recoveredMap(entries, nil), epoch: activeEpoch, writable: true}
+	f.active = &view{fmap: f.RecoveredMap(entries, nil), epoch: activeEpoch, writable: true}
 	if s := f.nearestSnapshotAncestorInclusive(activeEpoch); s != nil {
 		f.active.parent = s
 	}
@@ -337,7 +318,7 @@ func fullScanRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim
 // point simply discards the partial state and reports ok=false.
 func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.Time) (*FTL, sim.Time, bool) {
 	anchor := dev.Anchor()
-	f := recoverShell(cfg, dev, sched)
+	f := shell(cfg, dev, sched)
 
 	// ---- Read the anchor's chunks and bucket them by stream type. ----
 	type chunkPage struct {
@@ -355,7 +336,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 			if err != nil || !h.Type.IsCheckpoint() {
 				return nil, now, false
 			}
-			payload, _, done, err := f.devReadPage(now, addr)
+			payload, _, done, err := f.DevReadPage(now, addr)
 			if err != nil {
 				return nil, now, false
 			}
@@ -364,7 +345,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 		}
 	} else {
 		// Batched anchor load: validate the chunk headers host-side, then
-		// fetch every chunk payload in one devReadPages call (cell reads
+		// fetch every chunk payload in one DevReadPages call (cell reads
 		// overlap across channels instead of chaining).
 		hs := make([]header.Header, 0, len(anchor.Addrs))
 		for _, addr := range anchor.Addrs {
@@ -378,7 +359,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 			}
 			hs = append(hs, h)
 		}
-		payloads, _, k, done, err := f.devReadPages(now, anchor.Addrs)
+		payloads, _, k, done, err := f.DevReadPages(now, anchor.Addrs)
 		now = done
 		if err != nil || k != len(anchor.Addrs) {
 			return nil, now, false
@@ -527,7 +508,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 		if isRecorded {
 			from = rec.prog // pages below prog are checkpoint-covered state
 		}
-		oobs, done, err := f.devScanSegmentOOB(now, seg)
+		oobs, done, err := f.DevScanSegmentOOB(now, seg)
 		if err != nil {
 			return nil, now, false
 		}
@@ -574,7 +555,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 			}
 		}
 	}
-	f.seq = maxSeq
+	f.Seq = maxSeq
 
 	// ---- Replay the tail on top of the loaded image. ----
 	entries := make([]ftlmap.Entry, 0, len(mapEntries))
@@ -582,7 +563,7 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 		entries = append(entries, ftlmap.Entry{Key: p[0], Val: p[1]})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	f.active = &view{fmap: f.recoveredMap(entries, gtdEnts), epoch: treeState.active, writable: true}
+	f.active = &view{fmap: f.RecoveredMap(entries, gtdEnts), epoch: treeState.active, writable: true}
 	f.views = []*view{f.active}
 
 	if !f.replayTail(notes, data) {
@@ -594,10 +575,10 @@ func tryTailRecover(cfg Config, dev *nand.Device, sched *sim.Scheduler, now sim.
 	f.vstore.ResetCoWCounter()
 
 	// The anchor's chunks are live recovery state until superseded.
-	f.anchorID = anchor.ID
-	f.anchorAddrs = append([]nand.PageAddr(nil), anchor.Addrs...)
-	for _, a := range f.anchorAddrs {
-		f.ckptPins[a] = true
+	f.AnchorID = anchor.ID
+	f.AnchorAddrs = append([]nand.PageAddr(nil), anchor.Addrs...)
+	for _, a := range f.AnchorAddrs {
+		f.CkptPins[a] = true
 	}
 
 	out, done, err := finishRecovery(f, now, segUsed, segMaxSeq, len(mapEntries)+len(gtdEnts)+len(notes)+len(data))
@@ -737,60 +718,17 @@ func (f *FTL) replayTail(notes []recNote, data []recData) bool {
 // accounting — shared by both recovery paths, and charges the modeled
 // reconstruction CPU for the processed records.
 func finishRecovery(f *FTL, now sim.Time, segUsed []bool, segMaxSeq []uint64, records int) (*FTL, sim.Time, error) {
-	cfg, dev := f.cfg, f.dev
-	type segOrder struct {
-		seg int
-		seq uint64
-	}
-	var used []segOrder
-	for seg := 0; seg < cfg.Nand.Segments; seg++ {
-		switch {
-		case dev.SegmentHealth(seg) == nand.Retired:
-			// Belongs to neither pool: a grown bad block stays out of service.
-		case segUsed[seg]:
-			used = append(used, segOrder{seg, segMaxSeq[seg]})
-		default:
-			f.freeSegs = append(f.freeSegs, seg)
-		}
-	}
-	sort.Slice(used, func(i, j int) bool { return used[i].seq < used[j].seq })
-	for _, u := range used {
-		f.usedSegs = append(f.usedSegs, u.seg)
-	}
-	copy(f.segLastSeq, segMaxSeq)
-	if len(f.usedSegs) > 0 {
-		last := f.usedSegs[len(f.usedSegs)-1]
-		// The head resumes at the newest segment if it still has room — and
-		// is healthy; appending onto suspect media would repeat the failure
-		// that made it suspect.
-		if next := dev.NextFreeInSegment(last); next < cfg.Nand.PagesPerSegment && dev.SegmentHealth(last) == nand.Healthy {
-			f.headSeg, f.headIdx = last, next
-		} else {
-			if len(f.freeSegs) == 0 {
-				return nil, now, ErrDeviceFull
-			}
-			f.headSeg = f.freeSegs[0]
-			f.freeSegs = f.freeSegs[1:]
-			f.headIdx = 0
-			f.usedSegs = append(f.usedSegs, f.headSeg)
-		}
-	} else {
-		if len(f.freeSegs) == 0 {
-			return nil, now, ErrDeviceFull
-		}
-		f.headSeg = f.freeSegs[0]
-		f.freeSegs = f.freeSegs[1:]
-		f.headIdx = 0
-		f.usedSegs = append(f.usedSegs, f.headSeg)
+	if err := f.RebuildGeometry(segUsed, segMaxSeq); err != nil {
+		return nil, now, err
 	}
 	// Accounting entries start stale (their caches were never built), in
-	// final usedSegs order so victim tie-breaks match a linear scan; the
+	// final UsedSegs order so victim tie-breaks match a linear scan; the
 	// first selection decision rebuilds them against the recovered epochs.
-	for _, s := range f.usedSegs {
+	for _, s := range f.UsedSegs {
 		f.acct.track(s, false)
 	}
 	// Reconstruction CPU cost: proportional to processed translations.
-	now = now.Add(sim.Duration(records) * cfg.ReconstructCPUPerEntry)
+	now = now.Add(sim.Duration(records) * f.cfg.ReconstructCPUPerEntry)
 	f.maybeScheduleGC(now)
 	return f, now, nil
 }

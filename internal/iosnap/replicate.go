@@ -41,6 +41,14 @@ import (
 // and gcFixup re-points their collected entries exactly as it re-points
 // in-flight activations.
 
+// exportChunk is the export read queue depth: how many block reads one
+// export step posts to the device as a batch.
+const exportChunk = 256
+
+// ErrBadExport reports an export the device cannot produce, such as one
+// from a fingerprint-mode device that retains no payloads.
+var ErrBadExport = errors.New("iosnap: malformed export stream")
+
 // ErrExportAborted is the terminal error of a cancelled or invalidated
 // export (e.g. its snapshot was deleted mid-export).
 var ErrExportAborted = errors.New("iosnap: export aborted")
@@ -141,7 +149,7 @@ func (x *Export) Result() (*xport.Manifest, []byte, error) {
 // resolve LBAs, batched reads to hash and ship payloads — happens in Run
 // steps that interleave with foreground I/O.
 func (f *FTL) BeginExport(now sim.Time, opt ExportOpts) (*Export, sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return nil, now, ErrClosed
 	}
 	if !f.cfg.Nand.StoreData {
@@ -231,7 +239,7 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 		seg := x.scanList[x.segCursor]
 		x.segCursor++
 		start := now
-		oobs, done, err := f.devScanSegmentOOB(now, seg)
+		oobs, done, err := f.DevScanSegmentOOB(now, seg)
 		if err != nil {
 			return x.fail(now, fmt.Errorf("iosnap: export scan of segment %d: %w", seg, err))
 		}
@@ -288,7 +296,7 @@ func (x *Export) Run(now sim.Time) (sim.Time, bool) {
 		for i, lba := range lbas {
 			addrs[i] = x.writes[lba].addr
 		}
-		datas, _, k, done, err := f.devReadPages(now, addrs)
+		datas, _, k, done, err := f.DevReadPages(now, addrs)
 		now = done
 		for i := 0; i < k; i++ {
 			lba := lbas[i]

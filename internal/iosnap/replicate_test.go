@@ -683,3 +683,52 @@ func TestExportSurvivesGCMoves(t *testing.T) {
 	}
 	checkReplica(t, dst, want)
 }
+
+func TestDestageThenDeleteFreesFlash(t *testing.T) {
+	// The destage workflow: export a snapshot, delete it, verify the
+	// cleaner can then reclaim its blocks (the device keeps working under
+	// churn that would otherwise exhaust it).
+	f := newTestFTL(t)
+	ss := f.SectorSize()
+	now := sim.Time(0)
+	for lba := int64(0); lba < 100; lba++ {
+		f.sched.RunUntil(now)
+		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 1))
+	}
+	snap, now, _ := f.CreateSnapshot(now)
+	for lba := int64(0); lba < 100; lba++ {
+		f.sched.RunUntil(now)
+		now, _ = f.Write(now, lba, sectorPattern(ss, lba, 2))
+	}
+	_, archive, now, err := f.ExportSync(now, ExportOpts{Snapshot: snap.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = f.DeleteSnapshot(now, snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Churn that needs the reclaimed space.
+	rng := sim.NewRNG(9)
+	for i := 0; i < 300; i++ {
+		f.sched.RunUntil(now)
+		lba := rng.Int63n(100)
+		d, err := f.Write(now, lba, sectorPattern(ss, lba, byte(i)))
+		if err != nil {
+			t.Fatalf("churn after destage: %v", err)
+		}
+		now = d
+	}
+	// And the archive still restores generation 1.
+	dst := newTestFTL(t)
+	_, now2, err := ReceiveInto(dst, 0, archive, ReceiveOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, ss)
+	if _, err := dst.Read(now2, 42, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, sectorPattern(ss, 42, 1)) {
+		t.Fatal("archive lost the snapshot contents")
+	}
+}

@@ -7,7 +7,7 @@ import (
 )
 
 // The background scrubber walks the used segments oldest-first (the log
-// order of usedSegs), read-verifying every programmed page's OOB header and
+// order of UsedSegs), read-verifying every programmed page's OOB header and
 // rescuing + retiring any segment found (or already marked) suspect. Each
 // pass is a single sim.Task: it finishes after one walk rather than
 // rescheduling itself forever, so Scheduler.Drain terminates; the next pass
@@ -19,7 +19,7 @@ import (
 // maybeScheduleScrub arms a scrub pass when scrubbing is enabled and either
 // the interval has elapsed or a suspect segment awaits rescue.
 func (f *FTL) maybeScheduleScrub(now sim.Time) {
-	if f.scrubActive || f.closed || f.cfg.ScrubInterval <= 0 {
+	if f.scrubActive || f.Closed || f.cfg.ScrubInterval <= 0 {
 		return
 	}
 	suspect, _ := f.dev.HealthCounts()
@@ -33,13 +33,13 @@ func (f *FTL) maybeScheduleScrub(now sim.Time) {
 // It reports whether a pass was started (false when one is already running
 // or the device is closed).
 func (f *FTL) StartScrub(now sim.Time) bool {
-	if f.scrubActive || f.closed {
+	if f.scrubActive || f.Closed {
 		return false
 	}
 	f.scrubActive = true
 	f.sched.Schedule(now, &scrubTask{
 		f:      f,
-		segs:   append([]int(nil), f.usedSegs...),
+		segs:   append([]int(nil), f.UsedSegs...),
 		budget: ratelimit.NewBudget(f.cfg.ScrubLimit),
 	})
 	return true
@@ -63,14 +63,14 @@ func (t *scrubTask) Name() string { return "iosnap-scrub" }
 // sleep; finish the pass after one walk.
 func (t *scrubTask) Run(now sim.Time) (sim.Time, bool) {
 	f := t.f
-	if f.closed {
+	if f.Closed {
 		f.scrubActive = false
 		return 0, true
 	}
 	for t.cursor < len(t.segs) {
 		seg := t.segs[t.cursor]
 		t.cursor++
-		if seg == f.headSeg || seg == f.gcVictim || !f.segInUse(seg) {
+		if seg == f.HeadSeg || seg == f.gcVictim || !f.InUse(seg) {
 			// The head is still being appended; a segment mid-clean belongs
 			// to the cleaner; a since-freed segment has nothing to verify.
 			continue
@@ -80,7 +80,7 @@ func (t *scrubTask) Run(now sim.Time) (sim.Time, bool) {
 			// Read-verify: the scan exercises every programmed page's OOB
 			// read path; a permanent failure marks the segment suspect via
 			// the media wrapper, and the rescue below picks it up.
-			if _, done, err := f.devScanSegmentOOB(now, seg); err == nil {
+			if _, done, err := f.DevScanSegmentOOB(now, seg); err == nil {
 				now = done
 			}
 		}
@@ -102,14 +102,4 @@ func (t *scrubTask) Run(now sim.Time) (sim.Time, bool) {
 	f.stats.ScrubPasses++
 	f.stats.ScrubLastAt = now
 	return 0, true
-}
-
-// segInUse reports whether seg is currently in the used list.
-func (f *FTL) segInUse(seg int) bool {
-	for _, s := range f.usedSegs {
-		if s == seg {
-			return true
-		}
-	}
-	return false
 }

@@ -127,14 +127,27 @@ func (t *Tree) add(s *Snapshot) {
 // note is appended to the log, the epoch counter increments, and the
 // snapshot joins the tree. The whole operation costs one page program.
 func (f *FTL) CreateSnapshot(now sim.Time) (*Snapshot, sim.Time, error) {
-	if f.closed {
-		return nil, now, ErrClosed
-	}
-	return f.createSnapshotFrom(f.active, now)
+	return f.CreateSnapshotAs(now, f.tree.nextID)
 }
 
-func (f *FTL) createSnapshotFrom(v *view, now sim.Time) (*Snapshot, sim.Time, error) {
-	id := f.tree.nextID
+// NextSnapshotID returns the ID CreateSnapshot would assign next.
+func (f *FTL) NextSnapshotID() SnapshotID { return f.tree.nextID }
+
+// CreateSnapshotAs is CreateSnapshot with a caller-chosen ID, which must be
+// at least NextSnapshotID; the IDs in between are skipped for good. A
+// sharded device uses it to keep one ID across shards whose counters
+// drifted apart.
+func (f *FTL) CreateSnapshotAs(now sim.Time, id SnapshotID) (*Snapshot, sim.Time, error) {
+	if f.Closed {
+		return nil, now, ErrClosed
+	}
+	if id < f.tree.nextID {
+		return nil, now, fmt.Errorf("iosnap: snapshot ID %d already used (next is %d)", id, f.tree.nextID)
+	}
+	return f.createSnapshotFrom(f.active, now, id)
+}
+
+func (f *FTL) createSnapshotFrom(v *view, now sim.Time, id SnapshotID) (*Snapshot, sim.Time, error) {
 	frozen := v.epoch
 
 	noteAddr, done, err := f.writeNote(now, header.TypeSnapCreate, id, frozen)
@@ -172,7 +185,7 @@ func (f *FTL) createSnapshotFrom(v *view, now sim.Time) (*Snapshot, sim.Time, er
 // blocks become reclaimable — the cleaner frees them in the background, so
 // deletion itself costs one page program (paper §5.8).
 func (f *FTL) DeleteSnapshot(now sim.Time, id SnapshotID) (sim.Time, error) {
-	if f.closed {
+	if f.Closed {
 		return now, ErrClosed
 	}
 	snap, ok := f.tree.Lookup(id)

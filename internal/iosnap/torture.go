@@ -378,7 +378,7 @@ func (t *tortureRun) step(step int) error {
 			return nil
 		}
 		seg := used[t.rng.Intn(len(used))]
-		if seg == f.headSeg {
+		if seg == f.HeadSeg {
 			return nil
 		}
 		if err := f.ForceClean(t.now, seg); err != nil {

@@ -275,7 +275,7 @@ func TestGCErrorRecordedNotSwallowed(t *testing.T) {
 	pps := int64(f.cfg.Nand.PagesPerSegment)
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg == f.headSeg {
+		if seg == f.HeadSeg {
 			continue
 		}
 		if f.CountValidMerged(int64(seg)*pps, int64(seg+1)*pps) > 0 {
@@ -441,7 +441,7 @@ func TestCancelRacingBlockMove(t *testing.T) {
 	// activation must ignore onBlockMoved deliveries.
 	victim := -1
 	for _, seg := range f.UsedSegments() {
-		if seg != f.headSeg {
+		if seg != f.HeadSeg {
 			victim = seg
 			break
 		}

@@ -273,11 +273,10 @@ func (r *Router) barrierTime(now sim.Time) sim.Time {
 
 // CreateSnapshot captures one consistent point-in-time image across every
 // shard. Multi-shard creates are a barrier: all shards quiesce to the same
-// instant, then each logs its create note at that instant; because creates
-// are the only ID-allocating operation and they always run on every shard,
-// the per-shard IDs must agree — a mismatch is an invariant violation. A
-// partial failure rolls back the shards that succeeded. With one shard
-// this is a plain pass-through (no barrier), preserving bit-exactness.
+// instant, then each logs its create note at that instant under one ID
+// (barrierCreate). A partial failure rolls back the shards that succeeded.
+// With one shard this is a plain pass-through (no barrier), preserving
+// bit-exactness.
 func (r *Router) CreateSnapshot(now sim.Time) (iosnap.SnapshotID, sim.Time, error) {
 	if r.closed {
 		return 0, now, ErrClosed
@@ -292,32 +291,43 @@ func (r *Router) CreateSnapshot(now sim.Time) (iosnap.SnapshotID, sim.Time, erro
 	tbar := r.barrierTime(now)
 	r.stats.Barriers++
 	r.stats.BarrierWait += tbar.Sub(now)
-	var id iosnap.SnapshotID
+	clock := make([]sim.Time, len(r.shards))
+	id, err := barrierCreate(r.shards, tbar, clock)
 	done := tbar
-	created := 0
-	for i, f := range r.shards {
-		s, d, err := f.CreateSnapshot(tbar)
-		if d > done {
-			done = d
-		}
+	for _, c := range clock {
+		done = max(done, c)
+	}
+	return id, done, err
+}
+
+// barrierCreate creates one snapshot, under one ID, on every shard at the
+// barrier time tbar, after running each shard's scheduler up to tbar, and
+// advances clock[i] to each shard's completion time.
+// The ID is the largest any shard would hand out next: a create that
+// failed part-way leaves the shards it reached one ID ahead, and taking
+// the maximum pulls the others along instead of diverging — also after a
+// remount, since recovery rebuilds each shard's counter from its notes.
+// When shard i fails, shards 0..i-1 delete the snapshot again, so no
+// shard advertises a snapshot that does not exist device-wide.
+func barrierCreate(shards []*iosnap.FTL, tbar sim.Time, clock []sim.Time) (iosnap.SnapshotID, error) {
+	var id iosnap.SnapshotID
+	for _, f := range shards {
+		id = max(id, f.NextSnapshotID())
+	}
+	for i, f := range shards {
+		f.Scheduler().RunUntil(tbar) // background work due before the barrier lands first
+		_, done, err := f.CreateSnapshotAs(tbar, id)
+		clock[i] = max(clock[i], tbar, done)
 		if err != nil {
-			// Roll the completed shards back so no shard advertises a
-			// snapshot that does not exist device-wide.
-			for j := 0; j < created; j++ {
-				if d2, derr := r.shards[j].DeleteSnapshot(done, id); derr == nil && d2 > done {
-					done = d2
+			for j := 0; j < i; j++ {
+				if d, derr := shards[j].DeleteSnapshot(clock[j], id); derr == nil {
+					clock[j] = max(clock[j], d)
 				}
 			}
-			return 0, done, fmt.Errorf("shard %d: snapshot create: %w", i, err)
+			return 0, fmt.Errorf("shard %d: snapshot create: %w", i, err)
 		}
-		if i == 0 {
-			id = s.ID
-		} else if s.ID != id {
-			return 0, done, fmt.Errorf("shard %d: snapshot ID %d diverges from shard 0's %d", i, s.ID, id)
-		}
-		created++
 	}
-	return id, done, nil
+	return id, nil
 }
 
 // DeleteSnapshot tombstones id on every shard.

@@ -308,32 +308,7 @@ func (s *Service) CreateSnapshot() (iosnap.SnapshotID, error) {
 			tbar = b
 		}
 	}
-	var id iosnap.SnapshotID
-	created := 0
-	for i, f := range in.shards {
-		f.Scheduler().RunUntil(tbar)
-		snap, done, err := f.CreateSnapshot(tbar)
-		if done > in.vnow[i] {
-			in.vnow[i] = done
-		} else {
-			in.vnow[i] = tbar
-		}
-		if err != nil {
-			for j := 0; j < created; j++ {
-				if d, derr := in.shards[j].DeleteSnapshot(in.vnow[j], id); derr == nil && d > in.vnow[j] {
-					in.vnow[j] = d
-				}
-			}
-			return 0, fmt.Errorf("shard %d: snapshot create: %w", i, err)
-		}
-		if i == 0 {
-			id = snap.ID
-		} else if snap.ID != id {
-			return 0, fmt.Errorf("shard %d: snapshot ID %d diverges from shard 0's %d", i, snap.ID, id)
-		}
-		created++
-	}
-	return id, nil
+	return barrierCreate(in.shards, tbar, in.vnow)
 }
 
 // DeleteSnapshot tombstones id on every shard (no barrier needed: deletes

@@ -158,26 +158,68 @@ func writeFrame(w io.Writer, parts ...[]byte) error {
 
 // readFrame reads one length-prefixed frame into a pooled buffer. io.EOF
 // is returned only at a clean frame boundary; a frame cut off mid-payload
-// is ErrUnexpectedEOF. The caller owns the returned buffer and should
-// putBuf it when the frame's contents are dead.
+// is io.ErrUnexpectedEOF. The caller owns the returned buffer and should
+// putBuf it when the frame's contents are dead. Frames up to directFrame
+// take one allocation; larger ones grow with the bytes that actually
+// arrive (readLarge), so a bare length prefix cannot make the reader
+// allocate maxFrame up front.
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is pooled: a stack array would escape through the
+	// io.Reader call and cost an allocation per frame.
+	hdr := hdrPool.Get().(*[4]byte)
+	_, err := io.ReadFull(r, hdr[:])
+	n := binary.BigEndian.Uint32(hdr[:])
+	hdrPool.Put(hdr)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("srv: frame of %d bytes exceeds limit %d", n, maxFrame)
+	}
+	if n > directFrame {
+		return readLarge(r, int(n))
 	}
 	buf := getBuf(int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		putBuf(buf)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+		return nil, unexpectedEOF(err)
 	}
 	return buf, nil
+}
+
+var hdrPool = sync.Pool{New: func() any { return new([4]byte) }}
+
+// directFrame is the largest frame readFrame allocates in full before its
+// body arrives: the biggest pooled class plus room for any op's header, so
+// a 1 MiB read or write still costs one allocation.
+const directFrame = 1<<maxBufShift + 1<<12
+
+// readLarge reads an n-byte frame body in steps that double the buffer
+// only once the previous step filled it, bounding the allocation by twice
+// the bytes received (plus the first directFrame step).
+func readLarge(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, directFrame)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(2*cap(buf), n))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, unexpectedEOF(err)
+		}
+	}
+	return buf, nil
+}
+
+// unexpectedEOF reports a frame cut off mid-payload as such.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // helloRequest builds the v2 negotiation frame body (after the op byte).

@@ -172,6 +172,22 @@ func (s *Server) janitor(stop <-chan struct{}) {
 // connections are closed. Safe to call more than once and from request
 // handlers. It does not wait — Serve's return is the completion signal.
 func (s *Server) Shutdown() {
+	s.stopAccepting()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Close connections so their readFrame unblocks. A request being
+	// executed right now still writes its response: the write races the
+	// close harmlessly (worst case the client sees a reset after its
+	// response, exactly like a server crash after commit).
+	for c := range s.conns {
+		c.Close()
+	}
+}
+
+// stopAccepting closes the listener so no new connection is accepted,
+// leaving live ones running. The shutdown op calls it before sending its
+// acknowledgement, so a client that saw the ack cannot connect again.
+func (s *Server) stopAccepting() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopping {
@@ -180,13 +196,6 @@ func (s *Server) Shutdown() {
 	s.stopping = true
 	close(s.stopped)
 	s.ln.Close()
-	// Close connections so their readFrame unblocks. A request being
-	// executed right now still writes its response: the write races the
-	// close harmlessly (worst case the client sees a reset after its
-	// response, exactly like a server crash after commit).
-	for c := range s.conns {
-		c.Close()
-	}
 }
 
 // serveConn inspects the first frame: a valid hello upgrades the
@@ -231,6 +240,7 @@ func (s *Server) serveConn1(c net.Conn, first []byte) {
 			// Acknowledge before stopping: Shutdown closes every
 			// connection, so the response must already be on the wire.
 			putBuf(req)
+			s.stopAccepting()
 			writeFrame(c, []byte{statusOK})
 			s.Shutdown()
 			return
@@ -341,6 +351,7 @@ func (s *Server) serveConn2(c net.Conn, wantWindow int) {
 			}
 			if op == opShutdown {
 				putBuf(req)
+				s.stopAccepting()
 				out <- wresp{tag: tag, status: statusOK, after: s.Shutdown}
 				return
 			}

@@ -17,7 +17,7 @@ go test ./internal/iosnap/ -run '^$' \
 	-benchtime=1000x | tee "$raw"
 
 awk '
-/^BenchmarkVictimSelect / || /^BenchmarkVictimSelect\t/           { sel = $3 }
+/^BenchmarkVictimSelect(-[0-9]+)?[ \t]/                            { sel = $3 }
 /^BenchmarkVictimSelectScratch/                                    { scr = $3 }
 /^BenchmarkGCHeavySnapshotWorkload/                                { wl  = $3 }
 END {
